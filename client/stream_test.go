@@ -161,10 +161,13 @@ func stepRunner(stepDelay time.Duration) func(context.Context, job.RunContext) (
 func TestStreamSurvivesServerRestart(t *testing.T) {
 	dir := t.TempDir()
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	cfg := server.Config{JobDir: dir, JobStore: "cas", JobWorkers: 1, Logger: quiet}
+	// The substitute runner goes in through the config, not SetRunner after
+	// New: the restarted daemon recovers the job while New starts its
+	// manager, and must already run it under the step runner then.
+	cfg := server.Config{JobDir: dir, JobStore: "cas", JobWorkers: 1, Logger: quiet,
+		Runners: map[string]job.Runner{"dse": stepRunner(25 * time.Millisecond)}}
 
 	srv1 := server.New(cfg)
-	srv1.Jobs().SetRunner("dse", stepRunner(25*time.Millisecond))
 	l1, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +216,6 @@ func TestStreamSurvivesServerRestart(t *testing.T) {
 	// Restart: a new daemon over the same CAS store and address recovers the
 	// job and resumes it from the last checkpoint.
 	srv2 := server.New(cfg)
-	srv2.Jobs().SetRunner("dse", stepRunner(25*time.Millisecond))
 	t.Cleanup(func() { _ = srv2.Close() })
 	hs2 := &http.Server{Handler: srv2.Handler()}
 	go hs2.Serve(listenAt(t, addr))

@@ -377,20 +377,32 @@ func (c Config) utilization(kind nn.OpKind) float64 {
 // per-op energies) is deliberately absent, so a ShapeProfile built from
 // these replays under different knob settings (see shape.go).
 type layerShape struct {
-	macs    float64     // MAC count; 0 for memory-only layers
-	effBase float64     // saturated arrays × MACsPerArray × utilization, clock excluded
-	sram    units.Bytes // bytes traversing the activation memory, incl. spill re-reads
-	dram    units.Bytes // weights + spilled activations
+	layerCompute
+	layerMem
+}
+
+// layerCompute is the SRAM-independent half of a layer shape.
+type layerCompute struct {
+	macs    float64 // MAC count; 0 for memory-only layers
+	effBase float64 // saturated arrays × MACsPerArray × utilization, clock excluded
+}
+
+// layerMem is the SRAM-dependent half of a layer shape.
+type layerMem struct {
+	sram units.Bytes // bytes traversing the activation memory, incl. spill re-reads
+	dram units.Bytes // weights + spilled activations
 }
 
 // layerShape computes the knob-invariant part of one layer's simulation.
-func (c Config) layerShape(l nn.Layer) layerShape {
-	var ls layerShape
+func (c *Config) layerShape(l *nn.Layer) layerShape {
+	return layerShape{c.layerCompute(l), c.layerMem(l)}
+}
 
-	// Compute roofline with per-layer saturation: the layer's exposed
-	// parallelism bounds how many arrays it can keep busy.
-	ls.macs = l.MACs()
-	if ls.macs > 0 {
+// layerCompute computes the compute roofline with per-layer saturation:
+// the layer's exposed parallelism bounds how many arrays it can keep busy.
+func (c *Config) layerCompute(l *nn.Layer) layerCompute {
+	lc := layerCompute{macs: l.MACs()}
+	if lc.macs > 0 {
 		n := float64(c.MACArrays)
 		par := float64(l.OutH * l.OutW)
 		if ch := float64(l.OutC); ch > par {
@@ -403,22 +415,25 @@ func (c Config) layerShape(l nn.Layer) layerShape {
 		if s > 0 {
 			n = n * s / (s + n)
 		}
-		ls.effBase = n * MACsPerArray * c.utilization(l.Kind)
+		lc.effBase = n * MACsPerArray * c.utilization(l.Kind)
 	}
+	return lc
+}
 
-	// Activation traffic: the whole working set moves through the on-chip
-	// memory hierarchy; the part that does not fit spills to DRAM and is
-	// re-fetched with a tiling penalty.
+// layerMem computes the activation traffic: the whole working set moves
+// through the on-chip memory hierarchy; the part that does not fit spills
+// to DRAM and is re-fetched with a tiling penalty.
+func (c *Config) layerMem(l *nn.Layer) layerMem {
 	ws := l.WorkingSet()
-	ls.sram = ws
+	lm := layerMem{sram: ws}
 	var spill units.Bytes
 	if ws > c.SRAM {
 		penalty := c.Params.TilingPenalty * (1 + math.Log2(float64(ws/c.SRAM)))
 		spill = (ws - c.SRAM) * units.Bytes(penalty)
-		ls.sram = c.SRAM + spill // spilled tiles still pass through SRAM
+		lm.sram = c.SRAM + spill // spilled tiles still pass through SRAM
 	}
-	ls.dram = spill + l.WeightBytes()
-	return ls
+	lm.dram = spill + l.WeightBytes()
+	return lm
 }
 
 // layerCostOf prices a layer shape under the configuration's clock and
@@ -462,7 +477,7 @@ func (c Config) layerCostOf(ls layerShape) LayerCost {
 
 // LayerCost simulates one layer on the configuration.
 func (c Config) LayerCost(l nn.Layer) LayerCost {
-	return c.layerCostOf(c.layerShape(l))
+	return c.layerCostOf(c.layerShape(&l))
 }
 
 // KernelProfile aggregates a whole network's simulation.

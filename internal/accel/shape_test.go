@@ -5,15 +5,17 @@ import (
 
 	"cordoba/internal/nn"
 	"cordoba/internal/units"
+	"cordoba/internal/workload"
 )
 
-// TestShapeProfileCostBitwise holds the memoized replay path equal — bit for
-// bit — to the direct simulator path, across the whole Fig. 8 grid, the 3D
-// configurations, and knob-rescaled parameter sets.
-func TestShapeProfileCostBitwise(t *testing.T) {
+// bitwiseConfigs is the configuration set the replay paths are held to:
+// the whole Fig. 8 grid, the 3D configurations, a DVFS/node-style rescaled
+// configuration, and 2.5d/3d partitions of several grid shapes over several
+// chiplet counts and chiplet nodes.
+func bitwiseConfigs() []Config {
 	configs := append(Grid(), Stacked3D()...)
-	// A DVFS/node-style rescaled configuration: slower clock, cheaper ops,
-	// different leakage — everything outside the ShapeKey.
+	// Slower clock, cheaper ops, different leakage — everything outside the
+	// ShapeKey.
 	scaled := New("scaled", 48, units.MB(24))
 	scaled.Params.Clock *= 0.6321
 	scaled.Params.MACEnergy *= 0.7777
@@ -21,24 +23,233 @@ func TestShapeProfileCostBitwise(t *testing.T) {
 	scaled.Params.SRAMEnergySlope *= 0.7777
 	scaled.Params.BaseLeakage *= 1.3
 	configs = append(configs, scaled)
+	for _, base := range []Config{New("p16", 16, units.MB(2)), New("p48", 48, units.MB(24)), scaled} {
+		for _, integ := range []string{Integration25D, Integration3D} {
+			for _, chiplets := range []int{0, 2, 4} {
+				for _, node := range []string{"", "14nm"} {
+					c := base
+					c.Partition = Partition{Chiplets: chiplets, Integration: integ, ChipletNode: node, MemAreaScale: 1.7}
+					configs = append(configs, c)
+				}
+			}
+		}
+	}
+	return configs
+}
 
+// TestShapeProfileCostBitwise holds both replay paths equal — bit for bit —
+// to the direct simulator path: the one-cell ShapeProfile.Cost for every
+// configuration, and the batched Replay over each ShapeKey's
+// configurations priced together, which puts several memory classes
+// (monolithic, legacy 3D, 2.5d and 3d cuts) and clocks in one batch.
+func TestShapeProfileCostBitwise(t *testing.T) {
+	configs := bitwiseConfigs()
+	byKey := map[ShapeKey][]Config{}
+	var keys []ShapeKey
 	for _, c := range configs {
+		k := c.ShapeKey()
+		if byKey[k] == nil {
+			keys = append(keys, k)
+		}
+		byKey[k] = append(byKey[k], c)
+	}
+
+	var r Replay
+	batches, mixed := 0, 0
+	for _, k := range keys {
+		group := byKey[k]
+		pr := make([]Pricing, len(group))
+		for i, c := range group {
+			pr[i] = c.Pricing()
+		}
+		r.Load(pr)
+		if len(r.mems) > 1 {
+			mixed++
+		}
+		out := make([]workload.KernelCost, len(group))
 		for _, id := range nn.AllKernels() {
-			sp, err := c.ShapeProfile(id)
+			sp, err := group[0].ShapeProfile(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sp.Key != c.ShapeKey() {
-				t.Fatalf("%s: profile key %+v != config key %+v", c.ID, sp.Key, c.ShapeKey())
+			if sp.Key != k {
+				t.Fatalf("%s: profile key %+v != config key %+v", group[0].ID, sp.Key, k)
 			}
+			r.Cost(sp, out)
+			for i, c := range group {
+				direct, err := c.KernelCost(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if replay := sp.Cost(c); replay != direct {
+					t.Fatalf("%s %+v/%s: replay %+v != direct %+v", c.ID, c.Partition, id, replay, direct)
+				}
+				if out[i] != direct {
+					t.Fatalf("%s %+v/%s: batched replay %+v != direct %+v", c.ID, c.Partition, id, out[i], direct)
+				}
+			}
+		}
+		batches++
+	}
+	if mixed < 3 {
+		t.Fatalf("only %d of %d batches mixed memory classes; the set should put several in one batch", mixed, batches)
+	}
+}
+
+// TestReplayReusesComputeTimesAcrossSRAM: the compute-time rows never depend
+// on SRAM, so one Replay walking a MAC count's SRAM sizes fills each
+// kernel's row once and reuses it, with results still bit-identical to the
+// direct path — across SRAM sizes where layers spill to DRAM and where
+// every working set fits. Reuse is observed by scaling the cached row: a
+// shape that reads it prices visibly off, one that refills it prices
+// exactly.
+func TestReplayReusesComputeTimesAcrossSRAM(t *testing.T) {
+	const id = nn.SR512
+	net, err := nn.Kernel(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spills := func(c Config) bool {
+		for _, l := range net.Layers {
+			if l.WorkingSet() > c.SRAM {
+				return true
+			}
+		}
+		return false
+	}
+	// Two clocks and two memory classes per shape.
+	group := func(shape Config) []Config {
+		slow := shape
+		slow.Params.Clock *= 0.5
+		slow.Params.MACEnergy *= 0.6
+		cut := shape
+		cut.Partition = Partition{Chiplets: 2, Integration: Integration25D}
+		return []Config{shape, slow, cut}
+	}
+	var r Replay
+	// price loads shape's group, replays its profile, and reports whether
+	// every cost matched the direct path.
+	price := func(shape Config) bool {
+		t.Helper()
+		cfgs := group(shape)
+		pr := make([]Pricing, len(cfgs))
+		for j, c := range cfgs {
+			pr[j] = c.Pricing()
+		}
+		r.Load(pr)
+		out := make([]workload.KernelCost, len(cfgs))
+		r.Cost(mustProfile(t, shape, id), out)
+		exact := true
+		for j, c := range cfgs {
 			direct, err := c.KernelCost(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if replay := sp.Cost(c); replay != direct {
-				t.Fatalf("%s/%s: replay %+v != direct %+v", c.ID, id, replay, direct)
+			exact = exact && out[j] == direct
+		}
+		return exact
+	}
+	skew := func() {
+		for i := range r.rows {
+			for j := range r.rows[i].ct {
+				r.rows[i].ct[j] *= 2
 			}
 		}
+	}
+
+	sawSpill, sawFit := false, false
+	for _, mb := range []float64{0.25, 2, 16, 256} {
+		shape := New("", 16, units.MB(mb))
+		if spills(shape) {
+			sawSpill = true
+		} else {
+			sawFit = true
+		}
+		if !price(shape) {
+			t.Fatalf("%g MB: batched replay differs from the direct path", mb)
+		}
+	}
+	if !sawSpill || !sawFit {
+		t.Fatalf("SRAM sizes must cover both branches: spill %v, fit %v", sawSpill, sawFit)
+	}
+	skew()
+	if price(New("", 16, units.MB(64))) {
+		t.Fatal("another SRAM size of the same MAC count recomputed the compute-time row instead of reusing it")
+	}
+
+	// A different MAC count or a different clock set refills the row.
+	if !price(New("", 32, units.MB(2))) {
+		t.Fatal("a new MAC count reused a stale compute-time row")
+	}
+	skew()
+	other := New("", 32, units.MB(4))
+	other.Params.Clock *= 0.9
+	if !price(other) {
+		t.Fatal("new clocks reused a stale compute-time row")
+	}
+}
+
+// TestReplayManyClocks: beyond maxRowClocks distinct clocks the replay
+// caches no compute-time rows — scaling whatever it kept between two
+// replays of one profile changes nothing — and still prices every
+// configuration bit-identically to the direct path.
+func TestReplayManyClocks(t *testing.T) {
+	shape := New("", 24, units.MB(3))
+	var cfgs []Config
+	for i := 0; i <= maxRowClocks; i++ {
+		c := shape
+		c.Params.Clock *= units.Frequency(0.5 + float64(i)/256)
+		if i%2 == 1 {
+			c.Partition = Partition{Chiplets: 4, Integration: Integration3D}
+		}
+		cfgs = append(cfgs, c)
+	}
+	pr := make([]Pricing, len(cfgs))
+	for j, c := range cfgs {
+		pr[j] = c.Pricing()
+	}
+	var r Replay
+	r.Load(pr)
+	out := make([]workload.KernelCost, len(cfgs))
+	for _, id := range nn.AllKernels() {
+		sp := mustProfile(t, shape, id)
+		for pass := 0; pass < 2; pass++ {
+			r.Cost(sp, out)
+			for j, c := range cfgs {
+				direct, err := c.KernelCost(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out[j] != direct {
+					t.Fatalf("%s pass %d, config %d: batched replay %+v != direct %+v", id, pass, j, out[j], direct)
+				}
+			}
+			for i := range r.rows {
+				for j := range r.rows[i].ct {
+					r.rows[i].ct[j] *= 2
+				}
+			}
+		}
+	}
+}
+
+func mustProfile(t *testing.T, c Config, id nn.KernelID) *ShapeProfile {
+	t.Helper()
+	sp, err := c.ShapeProfile(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
+// TestShapeProfileCostAllocs: the one-cell replay is the surrogate search's
+// per-point path and must stay allocation-free.
+func TestShapeProfileCostAllocs(t *testing.T) {
+	c := New("", 16, units.MB(8))
+	c.Partition = Partition{Chiplets: 2, Integration: Integration25D}
+	sp := mustProfile(t, c, nn.RN50)
+	if a := testing.AllocsPerRun(100, func() { sp.Cost(c) }); a != 0 {
+		t.Fatalf("ShapeProfile.Cost allocates %.1f objects, want 0", a)
 	}
 }
 
@@ -90,6 +301,52 @@ func TestShapeProfileReplayAcross3D(t *testing.T) {
 		}
 		if replay := sp.Cost(stacked); replay != direct {
 			t.Fatalf("%s: 3D replay %+v != direct %+v", id, replay, direct)
+		}
+	}
+}
+
+// TestShapeProfileFromSharesComputeHalf: a profile built from a sibling of
+// another SRAM size shares the sibling's SRAM-independent half and still
+// replays bit-identically to the direct path; a base of another kernel or
+// MAC count is ignored.
+func TestShapeProfileFromSharesComputeHalf(t *testing.T) {
+	small, big := New("", 16, units.MB(0.25)), New("", 16, units.MB(64))
+	base := mustProfile(t, small, nn.SR512)
+	sp, err := big.ShapeProfileFrom(nn.SR512, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &sp.compute[0] != &base.compute[0] {
+		t.Fatal("sibling of another SRAM size did not share the compute half")
+	}
+	direct, err := big.KernelCost(nn.SR512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sp.Cost(big); got != direct {
+		t.Fatalf("shared-half replay %+v != direct %+v", got, direct)
+	}
+
+	for _, c := range []struct {
+		cfg Config
+		id  nn.KernelID
+	}{
+		{New("", 32, units.MB(64)), nn.SR512}, // another MAC count
+		{big, nn.RN50},                        // another kernel
+	} {
+		sp, err := c.cfg.ShapeProfileFrom(c.id, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &sp.compute[0] == &base.compute[0] {
+			t.Fatalf("%d arrays/%s: shared the compute half of an unrelated profile", c.cfg.MACArrays, c.id)
+		}
+		direct, err := c.cfg.KernelCost(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sp.Cost(c.cfg); got != direct {
+			t.Fatalf("%d arrays/%s: replay %+v != direct %+v", c.cfg.MACArrays, c.id, got, direct)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // acceptance grid against the same grid fanned out to three in-process
 // worker daemons. Per-point compute dominates and shards are disjoint, so on
 // parallel hardware the sharded run approaches a 3× speedup; the guarded
-// baseline keeps the coordinator's fan-out overhead (dispatch, polling,
+// baseline keeps the coordinator's fan-out overhead (dispatch, following,
 // envelope decode, merge) from regressing relative to the raw walk.
 func BenchmarkClusterDSE(b *testing.B) {
 	if raceEnabled {

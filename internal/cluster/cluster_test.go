@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -50,12 +51,38 @@ func workerURLs(t testing.TB, n int, cfg server.Config) []string {
 	return urls
 }
 
+// gatedWorker is an in-process worker whose job submissions wait until gate
+// closes (or ten seconds pass). The failure tests use it so the faulty
+// worker takes a shard before the healthy ones can run the whole plan:
+// followed over SSE, a healthy shard of these grids finishes in
+// milliseconds, before another dispatcher may even have started.
+func gatedWorker(t testing.TB, cfg server.Config, gate <-chan struct{}) *httptest.Server {
+	t.Helper()
+	if cfg.Logger == nil {
+		cfg.Logger = quietLogger()
+	}
+	srv := server.New(cfg)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			select {
+			case <-gate:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		_ = srv.Close()
+	})
+	return ts
+}
+
 // newCoordinator builds a test-tuned coordinator over the given workers.
 func newCoordinator(t testing.TB, urls []string, tune func(*cluster.Config)) *cluster.Coordinator {
 	t.Helper()
 	cfg := cluster.Config{
 		Workers:        urls,
-		PollEvery:      10 * time.Millisecond,
 		HeartbeatEvery: 250 * time.Millisecond,
 		Logger:         quietLogger(),
 	}
@@ -239,11 +266,67 @@ func millionKnobs() *api.KnobRangeSpec {
 	return &api.KnobRangeSpec{MACArrays: macs, SRAMMB: srams, VDDScales: vdds, Nodes: []string{"7nm", "5nm"}}
 }
 
+// TestShardMergeFollowsSlowestShard: the coordinator learns of each shard's
+// completion from the worker's event stream, not on a status-poll cadence,
+// so a run of tiny shards merges within a few milliseconds of its slowest
+// shard finishing. A 150 ms status poll would park every shard for at
+// least one interval. The lag also covers the last envelope's fetch,
+// decode and merge, so the race detector's slowdown gets twice the bound —
+// still under one such interval.
+func TestShardMergeFollowsSlowestShard(t *testing.T) {
+	bound := 50 * time.Millisecond
+	if raceEnabled {
+		bound = 100 * time.Millisecond
+	}
+	urls := workerURLs(t, 2, server.Config{})
+	coord, err := cluster.New(cluster.Config{Workers: urls, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	knobs := smallKnobs()
+	res, err := coord.Run(context.Background(), reqFor(knobs), allKernels(t), 380, cluster.RunOptions{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := time.Now()
+	assertMatchesSingleNode(t, res.Merged, singleNode(t, gridFor(knobs)))
+
+	var slowest time.Time
+	shards := 0
+	for _, u := range urls {
+		jobs, err := client.New(u).ListJobs(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range jobs {
+			if j.FinishedAt == nil {
+				t.Fatalf("shard job %s has no finished_at: %+v", j.ID, j)
+			}
+			shards++
+			if j.FinishedAt.After(slowest) {
+				slowest = *j.FinishedAt
+			}
+		}
+	}
+	if shards != 4 {
+		t.Fatalf("workers ran %d shard jobs, want 4", shards)
+	}
+	lag := merged.Sub(slowest)
+	t.Logf("merge landed %v after the slowest shard finished", lag)
+	if lag > bound {
+		t.Fatalf("merge landed %v after the slowest shard finished, want <= %v", lag, bound)
+	}
+}
+
 // TestWorkerLossRequeues kills one worker mid-shard (its transport starts
 // aborting connections right after it accepts a shard) and checks the run
 // still converges to the single-node result via requeue on the survivors.
 func TestWorkerLossRequeues(t *testing.T) {
-	urls := workerURLs(t, 2, server.Config{CheckpointEvery: 2})
+	dyingTook := make(chan struct{})
+	urls := []string{
+		gatedWorker(t, server.Config{CheckpointEvery: 2}, dyingTook).URL,
+		gatedWorker(t, server.Config{CheckpointEvery: 2}, dyingTook).URL,
+	}
 
 	// The third worker accepts exactly one job submission, then drops every
 	// connection — a process death right after taking a shard.
@@ -255,6 +338,7 @@ func TestWorkerLossRequeues(t *testing.T) {
 		}
 		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
 			killed.Store(true) // serve this submit, abort everything after
+			close(dyingTook)
 		}
 		dying.Handler().ServeHTTP(w, r)
 	}))
@@ -324,6 +408,7 @@ func TestStallSalvagesCheckpoint(t *testing.T) {
 		submitted  atomic.Bool
 		shardFirst atomic.Int64
 		cpFetches  atomic.Int64
+		fakeTook   = make(chan struct{}) // closed on the fake worker's first submission
 	)
 	writeStatus := func(w http.ResponseWriter, code int, st api.JobStatus) {
 		w.Header().Set("Content-Type", "application/json")
@@ -344,11 +429,18 @@ func TestStallSalvagesCheckpoint(t *testing.T) {
 			body, _ := io.ReadAll(r.Body)
 			_ = json.Unmarshal(body, &req)
 			shardFirst.Store(int64(req.Shard.First))
+			close(fakeTook)
 			writeStatus(w, http.StatusAccepted, api.JobStatus{ID: "stall-1", Kind: "dse-shard", State: api.JobQueued})
-		case r.Method == http.MethodGet && r.URL.Path == "/v1/jobs/stall-1":
-			// Running, forever, with frozen progress: a stalled shard.
-			writeStatus(w, http.StatusOK, api.JobStatus{ID: "stall-1", Kind: "dse-shard", State: api.JobRunning,
-				Progress: api.JobProgress{ShapesDone: 1, ShapesTotal: 6}})
+		case r.Method == http.MethodGet && r.URL.Path == "/v1/jobs/stall-1/events":
+			// Running, forever, with frozen progress: a stalled shard. The
+			// stream sends its snapshot, then stays open and silent.
+			w.Header().Set("Content-Type", "text/event-stream")
+			w.WriteHeader(http.StatusOK)
+			b, _ := json.Marshal(api.JobEvent{Seq: 1, Type: api.EventState, Job: api.JobStatus{ID: "stall-1", Kind: "dse-shard",
+				State: api.JobRunning, Progress: api.JobProgress{ShapesDone: 1, ShapesTotal: 6}}})
+			fmt.Fprintf(w, "id: 1\nevent: %s\ndata: %s\n\n", api.EventState, b)
+			w.(http.Flusher).Flush()
+			<-r.Context().Done()
 		case r.Method == http.MethodGet && r.URL.Path == "/v1/jobs/stall-1/checkpoint":
 			cpFetches.Add(1)
 			w.Header().Set("Content-Type", "application/json")
@@ -361,10 +453,9 @@ func TestStallSalvagesCheckpoint(t *testing.T) {
 	}))
 	t.Cleanup(fake.Close)
 
-	urls := []string{newWorker(t, server.Config{CheckpointEvery: 2}).URL, fake.URL}
+	urls := []string{gatedWorker(t, server.Config{CheckpointEvery: 2}, fakeTook).URL, fake.URL}
 	coord := newCoordinator(t, urls, func(cfg *cluster.Config) {
 		cfg.ShardTimeout = 200 * time.Millisecond
-		cfg.PollEvery = 25 * time.Millisecond
 	})
 
 	res, err := coord.Run(context.Background(), reqFor(knobs), allKernels(t), 380, cluster.RunOptions{Shards: 2})

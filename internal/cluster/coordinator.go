@@ -23,7 +23,6 @@ import (
 // Defaults applied by New.
 const (
 	DefaultHeartbeatEvery = 5 * time.Second
-	DefaultPollEvery      = 150 * time.Millisecond
 	DefaultShardTimeout   = 2 * time.Minute
 	DefaultMaxAttempts    = 3
 )
@@ -33,7 +32,7 @@ type Config struct {
 	// Workers lists the worker daemons' base URLs. At least one is required.
 	Workers []string
 	// NewClient builds the typed client for one worker; nil selects
-	// client.New with defaults. Tests substitute tuned retry/poll settings.
+	// client.New with defaults. Tests substitute tuned retry settings.
 	NewClient func(url string) *client.Client
 	// APIKey, when set, authenticates the coordinator to its workers as a
 	// bearer token — required when workers run with a tenant key file that
@@ -43,9 +42,6 @@ type Config struct {
 	// default. Heartbeats only feed the GET /v1/cluster listing — dispatch
 	// discovers dead workers directly through transport errors.
 	HeartbeatEvery time.Duration
-	// PollEvery is the per-shard job status poll cadence; <= 0 selects the
-	// default.
-	PollEvery time.Duration
 	// ShardTimeout bounds how long a dispatched shard may go without
 	// progress before the coordinator salvages its checkpoint and requeues
 	// it; <= 0 selects the default.
@@ -124,9 +120,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = DefaultHeartbeatEvery
-	}
-	if cfg.PollEvery <= 0 {
-		cfg.PollEvery = DefaultPollEvery
 	}
 	if cfg.ShardTimeout <= 0 {
 		cfg.ShardTimeout = DefaultShardTimeout
@@ -483,91 +476,84 @@ func (c *Coordinator) runShard(ctx context.Context, w *workerState, req api.DSER
 		return outcome{kind: outcomeWorkerDown, at: at, err: err, worker: w}
 	}
 
-	lastChange := time.Now()
-	var lastProgress api.JobProgress
-	poll := newPollTimer(c.cfg.PollEvery)
-	defer poll.Stop()
-	for {
-		if err := poll.Wait(ctx); err != nil {
-			return outcome{kind: outcomeRequeue, at: at, err: err, worker: w}
+	fin, stalled, err := c.follow(ctx, w, st.ID)
+	switch {
+	case ctx.Err() != nil:
+		return outcome{kind: outcomeRequeue, at: at, err: ctx.Err(), worker: w}
+	case stalled:
+		// Stalled: salvage the worker's last checkpoint if it is still
+		// reachable, cancel the stuck job, and requeue with the salvage.
+		resume := at.resume
+		if cp, err := c.callCP(ctx, w, st.ID); err == nil && len(cp) > 0 {
+			resume = cp
 		}
-		js, err := c.call(ctx, func(cctx context.Context) (api.JobStatus, error) { return w.cli.JobStatus(cctx, st.ID) })
+		_, _ = c.call(ctx, func(cctx context.Context) (api.JobStatus, error) { return w.cli.CancelJob(cctx, st.ID) })
+		w.finished(false, 0)
+		at.resume = resume
+		return outcome{kind: outcomeRequeue, at: at, err: fmt.Errorf("cluster: shard made no progress for %v on %s", c.cfg.ShardTimeout, w.url), worker: w}
+	case err != nil:
+		w.finished(false, 0)
+		return outcome{kind: outcomeWorkerDown, at: at, err: err, worker: w}
+	}
+	switch fin.State {
+	case api.JobSucceeded:
+		env, err := c.callEnv(ctx, w, st.ID)
 		if err != nil {
 			w.finished(false, 0)
 			return outcome{kind: outcomeWorkerDown, at: at, err: err, worker: w}
 		}
-		switch js.State {
-		case api.JobSucceeded:
-			env, err := c.callEnv(ctx, w, st.ID)
-			if err != nil {
-				w.finished(false, 0)
-				return outcome{kind: outcomeWorkerDown, at: at, err: err, worker: w}
-			}
-			w.finished(true, time.Since(start))
-			return outcome{kind: outcomeOK, at: at, env: *env, worker: w}
-		case api.JobFailed:
-			// Shard jobs are deterministic: a failure here fails everywhere.
-			return outcome{kind: outcomeFatal, at: at, err: fmt.Errorf("cluster: shard [%d,%d) failed on %s: %s", at.shard.First, at.shard.First+at.shard.Count, w.url, js.Error), worker: w}
-		case api.JobCanceled:
-			w.finished(false, 0)
-			return outcome{kind: outcomeRequeue, at: at, err: fmt.Errorf("cluster: shard job canceled on %s", w.url), worker: w}
-		}
-		if js.Progress != lastProgress {
-			lastProgress = js.Progress
-			lastChange = time.Now()
-		}
-		if time.Since(lastChange) > c.cfg.ShardTimeout {
-			// Stalled: salvage the worker's last checkpoint if it is still
-			// reachable, cancel the stuck job, and requeue with the salvage.
-			resume := at.resume
-			if cp, err := c.callCP(ctx, w, st.ID); err == nil && len(cp) > 0 {
-				resume = cp
-			}
-			_, _ = c.call(ctx, func(cctx context.Context) (api.JobStatus, error) { return w.cli.CancelJob(cctx, st.ID) })
-			w.finished(false, 0)
-			at.resume = resume
-			return outcome{kind: outcomeRequeue, at: at, err: fmt.Errorf("cluster: shard made no progress for %v on %s", c.cfg.ShardTimeout, w.url), worker: w}
-		}
+		w.finished(true, time.Since(start))
+		return outcome{kind: outcomeOK, at: at, env: *env, worker: w}
+	case api.JobFailed:
+		// Shard jobs are deterministic: a failure here fails everywhere.
+		return outcome{kind: outcomeFatal, at: at, err: fmt.Errorf("cluster: shard [%d,%d) failed on %s: %s", at.shard.First, at.shard.First+at.shard.Count, w.url, fin.Error), worker: w}
+	default: // canceled on the worker
+		w.finished(false, 0)
+		return outcome{kind: outcomeRequeue, at: at, err: fmt.Errorf("cluster: shard job canceled on %s", w.url), worker: w}
 	}
 }
 
-// pollTimer is a reusable poll-interval timer. The historical loop selected
-// on time.After(PollEvery) every iteration; each call allocates a fresh
-// runtime timer that is not collected until it fires, so every in-flight
-// shard leaked one pending timer per past poll for up to PollEvery. One
-// timer re-armed per wait keeps the watch loop allocation-free.
-type pollTimer struct {
-	t *time.Timer
-	d time.Duration
-}
+// follow watches a dispatched shard job over the worker's event stream
+// (GET /v1/jobs/{id}/events) until its terminal `done` event, returning
+// that final status. A watchdog ends the watch early with stalled set when
+// the job's progress has not changed for ShardTimeout — a live but stuck
+// worker, or a hung connection. Any other end of the stream before `done`
+// (transport error, dropped connection) is returned as err: the worker is
+// treated as lost, exactly as a failed status call was.
+func (c *Coordinator) follow(ctx context.Context, w *workerState, id string) (fin api.JobStatus, stalled bool, err error) {
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var stall atomic.Bool
+	watchdog := time.AfterFunc(c.cfg.ShardTimeout, func() {
+		stall.Store(true)
+		cancel()
+	})
+	defer watchdog.Stop()
 
-func newPollTimer(d time.Duration) *pollTimer {
-	t := time.NewTimer(0)
-	if !t.Stop() {
-		<-t.C
-	}
-	return &pollTimer{t: t, d: d}
-}
-
-// Wait blocks for one poll interval or until ctx is done, returning ctx's
-// error in the latter case. The timer is armed on entry — the interval runs
-// from after the loop body, matching the historical time.After cadence —
-// and is always left stopped and drained, so re-arming is race-free.
-func (p *pollTimer) Wait(ctx context.Context) error {
-	p.t.Reset(p.d)
-	select {
-	case <-ctx.Done():
-		if !p.t.Stop() {
-			<-p.t.C
+	var (
+		last api.JobProgress
+		done bool
+	)
+	err = w.cli.StreamJobEvents(sctx, id, 0, func(ev api.JobEvent) {
+		if ev.Type == api.EventDone {
+			fin, done = ev.Job, true
+			return
 		}
-		return ctx.Err()
-	case <-p.t.C:
-		return nil
+		if ev.Job.Progress != last {
+			last = ev.Job.Progress
+			watchdog.Reset(c.cfg.ShardTimeout)
+		}
+	})
+	switch {
+	case done:
+		return fin, false, nil
+	case stall.Load() && ctx.Err() == nil:
+		return api.JobStatus{}, true, nil
+	case err == nil:
+		err = fmt.Errorf("cluster: event stream for job %s on %s ended before done", id, w.url)
 	}
+	return api.JobStatus{}, false, err
 }
-
-// Stop releases the timer; Wait must not be called afterwards.
-func (p *pollTimer) Stop() { p.t.Stop() }
 
 // call runs one worker RPC under a ShardTimeout-bounded child context, so a
 // hung connection surfaces as a worker loss instead of wedging the run.

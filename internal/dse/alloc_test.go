@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -30,22 +31,23 @@ func evalShapeAllocs(t *testing.T, g Grid) float64 {
 		t.Fatal(err)
 	}
 	tasks := []workload.Task{paperTask(t, workload.TaskXR5)}
-	kernels := kernelUnion(tasks)
-	memo := NewMemoCache(0)
-	fab := carbon.FabCoal
-	sc := newEvalScratch(cg, kernels)
+	se, err := newShapeEval(cg, tasks, NewMemoCache(0), carbon.FabCoal, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := newEvalScratch(se)
 	buffers := make([][]Point, len(tasks))
 	for ti := range buffers {
 		buffers[ti] = make([]Point, 0, len(cg.cells))
 	}
 	for si := 0; si < cg.shapes(); si++ {
-		if err := evalShape(cg, si, kernels, tasks, memo, fab, nil, sc, buffers); err != nil {
+		if err := evalShape(se, si, sc, buffers); err != nil {
 			t.Fatal(err)
 		}
 	}
 	si := 0
 	return testing.AllocsPerRun(20, func() {
-		if err := evalShape(cg, si, kernels, tasks, memo, fab, nil, sc, buffers); err != nil {
+		if err := evalShape(se, si, sc, buffers); err != nil {
 			t.Fatal(err)
 		}
 		si = (si + 1) % cg.shapes()
@@ -108,6 +110,66 @@ func TestEvalShapeSteadyStateAllocsWithPartitionAxes(t *testing.T) {
 	if perClass := aPart / classesOf(part); perClass > 6 {
 		t.Fatalf("per-class allocations = %.2f with partition axes (flat grid: %.2f), want a small constant",
 			perClass, aFlat/classesOf(flat))
+	}
+}
+
+// TestPriceShapeSteadyStateAllocs: the batched replay half of evalShape —
+// memo lookup, per-class pricings, compute-time rows, the [kernel][cost
+// class] table — allocates nothing per shape once warm, including on the
+// shapes where a new MAC count refills the compute-time rows and on grids
+// with partition axes (several memory classes).
+func TestPriceShapeSteadyStateAllocs(t *testing.T) {
+	part := allocTestGrid()
+	part.Integrations = []string{"monolithic", "2.5d", "3d"}
+	part.Chiplets = []int{2, 4}
+	for _, g := range []Grid{allocTestGrid(), part} {
+		cg, err := g.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		se, err := newShapeEval(cg, []workload.Task{paperTask(t, workload.TaskAllKernels)}, NewMemoCache(0), carbon.FabCoal, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := newEvalScratch(se)
+		for si := 0; si < cg.shapes(); si++ {
+			if err := se.priceShape(cg.shapeConfig(si), sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		si := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := se.priceShape(cg.shapeConfig(si), sc); err != nil {
+				t.Fatal(err)
+			}
+			si = (si + 1) % cg.shapes()
+		})
+		if allocs != 0 {
+			t.Fatalf("%d cost classes: steady-state priceShape allocates %.1f objects per shape, want 0", len(cg.costReps), allocs)
+		}
+	}
+}
+
+// TestSurrogateScratchSkipsBatchBuffers: the batch buffers are sized on
+// first use by evalShape, so the surrogate's per-batch scratch — which
+// prices single points through the one-cell replay — never grows them.
+func TestSurrogateScratchSkipsBatchBuffers(t *testing.T) {
+	cg, err := allocTestGrid().compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := newShapeEval(cg, []workload.Task{paperTask(t, workload.TaskXR5)}, NewMemoCache(0), carbon.FabCoal, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := newEvalScratch(se)
+	for id := int64(0); id < cg.size(); id += 7 {
+		if _, err := sgEval(se, id, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sc.table != nil || sc.column != nil || sc.pricing != nil || !reflect.ValueOf(sc.replay).IsZero() {
+		t.Fatal("sgEval grew the batched-replay buffers")
 	}
 }
 

@@ -297,7 +297,10 @@ func EvaluateStreamCheckpointedTasks(ctx context.Context, tasks []workload.Task,
 		start = cp.NextShape
 	}
 
-	kernels := kernelUnion(tasks)
+	se, err := newShapeEval(cg, tasks, memo, fab, opt.Yield)
+	if err != nil {
+		return nil, err
+	}
 	workers := opt.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -311,10 +314,14 @@ func EvaluateStreamCheckpointedTasks(ctx context.Context, tasks []workload.Task,
 		errOnce  sync.Once
 		firstErr error
 		failed   atomic.Bool
+		abort    = make(chan struct{})
 	)
 	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		failed.Store(true)
+		errOnce.Do(func() {
+			firstErr = err
+			failed.Store(true)
+			close(abort) // after failed: a worker released by it skips its shape
+		})
 	}
 
 	// Workers evaluate shapes and hand chunks to the sequencer; the feeder
@@ -326,40 +333,62 @@ func EvaluateStreamCheckpointedTasks(ctx context.Context, tasks []workload.Task,
 	}
 	shapeCh := make(chan int)
 	chunkCh := make(chan chunk, workers)
-	// freeBufs recycles chunk buffers from the sequencer back to the workers:
-	// offerChunk copies everything it keeps, so a buffer set is reusable the
-	// moment its shape is accumulated. In-flight sets are bounded by the
-	// workers' hands plus chunkCh plus the reorder buffer, so after a short
-	// warm-up the pool satisfies every request and the engine stops
-	// allocating chunk storage entirely.
-	freeBufs := make(chan [][]Point, 2*workers+1)
-	newBuffers := func() [][]Point {
-		buffers := make([][]Point, len(tasks))
-		for ti := range buffers {
-			buffers[ti] = make([]Point, 0, cells)
+	// Chunk buffer sets circulate between the workers and the sequencer:
+	// offerChunk copies everything it keeps, so a set is reusable the
+	// moment its shape is accumulated. At most maxSets exist. Without the
+	// cap, a worker descheduled on the sequencer's next shape let the
+	// others run arbitrarily far ahead into the reorder buffer, each shape
+	// in a fresh set. A worker takes its set before its shape, so the
+	// worker holding the next shape always has one and the cap cannot
+	// stall the run.
+	maxSets := 2*workers + 1
+	freeBufs := make(chan [][]Point, maxSets)
+	var sets atomic.Int32
+	takeBuffers := func() [][]Point {
+		select {
+		case b := <-freeBufs:
+			return b
+		default:
 		}
-		return buffers
+		if sets.Add(1) <= int32(maxSets) {
+			buffers := make([][]Point, len(tasks))
+			for ti := range buffers {
+				buffers[ti] = make([]Point, 0, cells)
+			}
+			return buffers
+		}
+		select {
+		case b := <-freeBufs:
+			return b
+		case <-abort:
+			return nil
+		case <-ctx.Done():
+			return nil
+		}
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := newEvalScratch(cg, kernels)
-			for si := range shapeCh {
+			sc := newEvalScratch(se)
+			var buffers [][]Point
+			for {
+				if buffers == nil {
+					buffers = takeBuffers()
+				}
+				si, ok := <-shapeCh
+				if !ok {
+					return
+				}
 				if ctx.Err() != nil || failed.Load() {
 					continue // drain the channel without evaluating
 				}
-				var buffers [][]Point
-				select {
-				case buffers = <-freeBufs:
-				default:
-					buffers = newBuffers()
-				}
-				if err := evalShape(cg, si, kernels, tasks, memo, fab, opt.Yield, sc, buffers); err != nil {
+				if err := evalShape(se, si, sc, buffers); err != nil {
 					fail(err)
 					continue
 				}
 				chunkCh <- chunk{si: si, buffers: buffers}
+				buffers = nil
 			}
 		}()
 	}
@@ -394,10 +423,7 @@ func EvaluateStreamCheckpointedTasks(ctx context.Context, tasks []workload.Task,
 			for ti := range tasks {
 				accs[ti].offerChunk(base, bufs[ti])
 			}
-			select {
-			case freeBufs <- bufs:
-			default: // pool full — let the set be collected
-			}
+			freeBufs <- bufs // never blocks: at most maxSets exist
 			next++
 			accumulated++
 			if opt.OnProgress != nil {

@@ -129,6 +129,13 @@ type gridCell struct {
 	// engine computes it once per (shape, class) instead of once per cell —
 	// V_DD only rescales clock/energy/leakage, never the fab footprint.
 	embClass int
+
+	// costClass indexes the cell's kernel-cost class: cells sharing (clock
+	// ratio, energy ratio, integration style) resolve to the same
+	// accel.Pricing on every shape, so the engine replays each kernel once
+	// per (shape, class). The D2D cost ignores chiplet count and chiplet
+	// node, and the Models axis never enters the roofline.
+	costClass int
 }
 
 // compiledGrid is a validated grid with its cells priced by the device
@@ -136,7 +143,8 @@ type gridCell struct {
 type compiledGrid struct {
 	g          Grid
 	cells      []gridCell
-	embClasses int // distinct embodied-carbon classes across cells
+	embClasses int   // distinct embodied-carbon classes across cells
+	costReps   []int // one representative cell index per kernel-cost class
 }
 
 // firstDup returns the first value that repeats in xs.
@@ -437,6 +445,23 @@ func (g Grid) compile() (*compiledGrid, error) {
 		c.embClass = id
 	}
 	cg.embClasses = len(classes)
+
+	type costKey struct {
+		clockR, energyR uint64
+		integ           string
+	}
+	costClasses := make(map[costKey]int)
+	for i := range cg.cells {
+		c := &cg.cells[i]
+		k := costKey{math.Float64bits(c.clockR), math.Float64bits(c.energyR), c.partition.Integration}
+		id, ok := costClasses[k]
+		if !ok {
+			id = len(cg.costReps)
+			costClasses[k] = id
+			cg.costReps = append(cg.costReps, i)
+		}
+		c.costClass = id
+	}
 	return cg, nil
 }
 
@@ -457,23 +482,13 @@ func (cg *compiledGrid) shapeConfig(si int) accel.Config {
 // at returns configuration i (shape-major: i = shape·cells + cell) with its
 // compiled cell — the node's embodied process plus the accounting model.
 // IDs are "k1" … "kN" in enumeration order.
-func (cg *compiledGrid) at(i int64) (accel.Config, gridCell) {
-	c, cell := cg.atNoID(i)
-	c.ID = gridPointID(i)
-	return c, cell
-}
-
-// atNoID is at without materializing the "k<N>" ID string. The streaming
-// engine evaluates every grid cell but keeps only envelope survivors, so it
-// prices cells anonymously and stamps gridPointID on the handful of points
-// that are actually accepted — one string allocation per survivor instead of
-// one per cell.
-func (cg *compiledGrid) atNoID(i int64) (accel.Config, gridCell) {
+func (cg *compiledGrid) at(i int64) (accel.Config, *gridCell) {
 	cells := int64(len(cg.cells))
 	si, ci := int(i/cells), int(i%cells)
-	cell := cg.cells[ci]
+	cell := &cg.cells[ci]
 	c := cg.shapeConfig(si)
 	applyCell(&c, cell)
+	c.ID = gridPointID(i)
 	return c, cell
 }
 
@@ -486,7 +501,7 @@ func gridPointID(i int64) string { return "k" + strconv.FormatInt(i+1, 10) }
 // nothing else). DRAM energy and bandwidth stay fixed — LPDDR lives
 // off-package and does not scale with the logic node. The cell's partition
 // spec is copied onto the configuration (zero for monolithic cells).
-func applyCell(c *accel.Config, cell gridCell) {
+func applyCell(c *accel.Config, cell *gridCell) {
 	c.Partition = cell.partition
 	c.Params.Clock *= units.Frequency(cell.clockR)
 	c.Params.MACEnergy *= units.Energy(cell.energyR)

@@ -30,6 +30,12 @@ type memoKey struct {
 	key    accel.ShapeKey
 }
 
+// memoEntry is one cached profile, set aside while evictLocked rebuilds.
+type memoEntry struct {
+	key memoKey
+	sp  *accel.ShapeProfile
+}
+
 // MemoCache is the concurrency-safe memoization layer of the streaming DSE
 // engine: it caches accel.ShapeProfile values keyed on (kernel, ShapeKey),
 // so the dominant per-point cost — walking a kernel's layers — is paid once
@@ -41,9 +47,17 @@ type memoKey struct {
 // is randomized, so walking the map is a cheap random sample). Evictions are
 // counted and exported as cordobad_memo_evictions_total.
 type MemoCache struct {
-	mu  sync.RWMutex
-	max int
-	m   map[memoKey]*accel.ShapeProfile
+	mu   sync.RWMutex
+	max  int
+	m    map[memoKey]*accel.ShapeProfile
+	kept []memoEntry // eviction's survivor buffer, see evictLocked
+
+	// bases maps (kernel, ShapeKey with SRAM cleared) to the latest profile
+	// inserted under it. A miss builds its profile from that sibling
+	// (accel.Config.ShapeProfileFrom), so every SRAM size of one MAC count
+	// shares a single copy of the SRAM-independent half. Cleared on
+	// eviction, which bounds it by the cache size.
+	bases map[memoKey]*accel.ShapeProfile
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -56,23 +70,42 @@ func NewMemoCache(max int) *MemoCache {
 	if max < 1 {
 		max = DefaultMemoEntries
 	}
-	return &MemoCache{max: max, m: make(map[memoKey]*accel.ShapeProfile)}
+	return &MemoCache{max: max, m: make(map[memoKey]*accel.ShapeProfile), bases: make(map[memoKey]*accel.ShapeProfile)}
 }
 
 // evictLocked makes room for one insert by dropping a random fraction of the
-// map. Called with mu held for writing and len(m) >= max.
+// map. The survivors are set aside, the map cleared and the survivors put
+// back, because deleting in place would leave every deleted slot behind: Go
+// maps never shrink, and under steady insert/evict churn such a table grows
+// to several times the size the bound implies, so memory would track the
+// number of profiles ever computed rather than the bound. Clearing keeps
+// the table's allocation and the survivor buffer is reused, so evictions
+// allocate nothing after the first. Called with mu held for writing and
+// len(m) >= max.
 func (mc *MemoCache) evictLocked() {
 	drop := len(mc.m) / memoEvictFraction
 	if drop < 1 {
 		drop = 1
 	}
 	mc.evictions.Add(int64(drop))
-	for k := range mc.m {
-		delete(mc.m, k)
-		if drop--; drop == 0 {
-			break
-		}
+	if cap(mc.kept) < len(mc.m) {
+		mc.kept = make([]memoEntry, 0, len(mc.m))
 	}
+	kept := mc.kept[:0]
+	for k, sp := range mc.m {
+		if drop > 0 {
+			drop-- // iteration order is random, so the dropped set is too
+			continue
+		}
+		kept = append(kept, memoEntry{k, sp})
+	}
+	clear(mc.m)
+	for _, e := range kept {
+		mc.m[e.key] = e.sp
+	}
+	clear(kept) // drop the buffer's profile references until the next eviction
+	mc.kept = kept
+	clear(mc.bases)
 }
 
 // insertLocked stores sp under k, evicting if full. When another worker
@@ -86,30 +119,23 @@ func (mc *MemoCache) insertLocked(k memoKey, sp *accel.ShapeProfile) *accel.Shap
 		mc.evictLocked()
 	}
 	mc.m[k] = sp
+	mc.bases[baseKey(k)] = sp
 	return sp
+}
+
+// baseKey is the bases key of a profile: its key with SRAM cleared.
+func baseKey(k memoKey) memoKey {
+	k.key.SRAM = 0
+	return k
 }
 
 // Profile returns the shape profile of kernel id on configuration c,
 // computing and caching it on first use. The returned profile is shared and
 // immutable; callers replay it with ShapeProfile.Cost.
 func (mc *MemoCache) Profile(c accel.Config, id nn.KernelID) (*accel.ShapeProfile, error) {
-	k := memoKey{kernel: id, key: c.ShapeKey()}
-	mc.mu.RLock()
-	sp, ok := mc.m[k]
-	mc.mu.RUnlock()
-	if ok {
-		mc.hits.Add(1)
-		return sp, nil
-	}
-	mc.misses.Add(1)
-	sp, err := c.ShapeProfile(id)
-	if err != nil {
-		return nil, err
-	}
-	mc.mu.Lock()
-	sp = mc.insertLocked(k, sp)
-	mc.mu.Unlock()
-	return sp, nil
+	var dst [1]*accel.ShapeProfile
+	err := mc.Profiles(c, []nn.KernelID{id}, dst[:])
+	return dst[0], err
 }
 
 // Profiles fills dst (parallel to kernels) with the shape profiles of every
@@ -117,18 +143,21 @@ func (mc *MemoCache) Profile(c accel.Config, id nn.KernelID) (*accel.ShapeProfil
 // instead of one per kernel — the batched lookup the streaming engine's
 // per-shape hot path rides. The ShapeKey is computed once; on a full hit the
 // call performs no allocations. Missing profiles are computed outside the
-// lock and inserted with a single write-lock round-trip.
+// lock, each from its cached sibling of another SRAM size when there is
+// one, and inserted with a single write-lock round-trip.
 func (mc *MemoCache) Profiles(c accel.Config, kernels []nn.KernelID, dst []*accel.ShapeProfile) error {
 	key := c.ShapeKey()
 
 	missing := 0
 	mc.mu.RLock()
 	for i, id := range kernels {
-		sp, ok := mc.m[memoKey{kernel: id, key: key}]
-		dst[i] = sp // nil on miss
+		k := memoKey{kernel: id, key: key}
+		sp, ok := mc.m[k]
 		if !ok {
 			missing++
+			sp = mc.bases[baseKey(k)] // a sibling to build from, or nil
 		}
+		dst[i] = sp
 	}
 	mc.mu.RUnlock()
 	mc.hits.Add(int64(len(kernels) - missing))
@@ -138,10 +167,10 @@ func (mc *MemoCache) Profiles(c accel.Config, kernels []nn.KernelID, dst []*acce
 	mc.misses.Add(int64(missing))
 
 	for i, id := range kernels {
-		if dst[i] != nil {
-			continue
+		if dst[i] != nil && dst[i].Key == key {
+			continue // hit
 		}
-		sp, err := c.ShapeProfile(id)
+		sp, err := c.ShapeProfileFrom(id, dst[i])
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"runtime"
 	"testing"
 
 	"cordoba/internal/accel"
@@ -105,5 +106,89 @@ func TestMemoProfilesBatchedLookup(t *testing.T) {
 	}
 	if allocs > 0 {
 		t.Fatalf("hot batched lookup allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestMemoChurnKeepsTableBounded: eviction clears the map and reinserts
+// its survivors. Deleting in place instead left the table at its
+// high-water size — Go maps never shrink — and steady insert/evict churn
+// grew it to ~4× the footprint of a cache filled once, so the daemons'
+// memory tracked how many profiles they had ever computed. The bound
+// leaves room for the survivor buffer eviction keeps.
+func TestMemoChurnKeepsTableBounded(t *testing.T) {
+	const max = 4096
+	sp, err := accel.New("m", 8, 4*units.MiB).ShapeProfile(nn.RN18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	insert := func(mc *MemoCache, from, n int) {
+		for i := from; i < from+n; i++ {
+			mc.insertLocked(memoKey{kernel: nn.RN18, key: accel.ShapeKey{MACArrays: i + 1}}, sp)
+		}
+	}
+
+	base := heap()
+	filled := NewMemoCache(max)
+	insert(filled, 0, max)
+	once := heap() - base
+	runtime.KeepAlive(filled)
+
+	base = heap()
+	churned := NewMemoCache(max)
+	insert(churned, 0, 40*max)
+	after := heap() - base
+	runtime.KeepAlive(churned)
+
+	if after > 2*once {
+		t.Fatalf("after %d inserts the %d-entry cache holds %d B, %.1f× a cache filled once (%d B)",
+			40*max, max, after, float64(after)/float64(once), once)
+	}
+}
+
+// TestMemoMissBuildsFromSibling: a miss whose MAC count is already cached
+// at another SRAM size builds only the SRAM-dependent half of its profile
+// (one slice fewer than a cold miss), and the result replays exactly like a
+// profile built from scratch.
+func TestMemoMissBuildsFromSibling(t *testing.T) {
+	kernels := []nn.KernelID{nn.SR512}
+	dst := make([]*accel.ShapeProfile, 1)
+	missAllocs := func(cfgAt func(i int) accel.Config) float64 {
+		mc := NewMemoCache(0)
+		if err := mc.Profiles(cfgAt(0), kernels, dst); err != nil {
+			t.Fatal(err)
+		}
+		i := 1
+		return testing.AllocsPerRun(50, func() {
+			if err := mc.Profiles(cfgAt(i), kernels, dst); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	sibling := missAllocs(func(i int) accel.Config { return accel.New("", 16, units.MB(float64(1+i))) })
+	cold := missAllocs(func(i int) accel.Config { return accel.New("", 16+i, units.MB(1)) })
+	if sibling > cold-0.5 {
+		t.Fatalf("a miss with a cached sibling allocates %.1f objects, a cold miss %.1f; want one slice fewer", sibling, cold)
+	}
+
+	c := accel.New("", 16, units.MB(7))
+	want, err := c.KernelCost(nn.SR512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := NewMemoCache(0)
+	for _, cfg := range []accel.Config{accel.New("", 16, units.MB(3)), c} {
+		if err := mc.Profiles(cfg, kernels, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := dst[0].Cost(c); got != want {
+		t.Fatalf("profile built from a sibling replays %+v, direct %+v", got, want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cordoba/internal/carbon"
+	"cordoba/internal/workload"
 )
 
 // partitionGrid returns a small grid exercising every partition axis.
@@ -156,6 +157,71 @@ func TestStreamMatchesNaivePartitionGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkStreamMatchesNaive(t, r, naive)
+}
+
+// TestStreamMatchesNaiveModelPartitionGrid crosses a Models axis with the
+// partition axes, so many cells share each kernel-cost class (the Models,
+// chiplet-count and chiplet-node axes never enter the roofline) while their
+// embodied carbon differs. The batched per-class replay must still agree
+// with the materialize-everything baseline point for point.
+func TestStreamMatchesNaiveModelPartitionGrid(t *testing.T) {
+	g := Grid{
+		MACArrays:    []int{2, 16},
+		SRAMMB:       []float64{0.5, 8, 64},
+		VDDScales:    []float64{1.0, 0.85},
+		Nodes:        []string{"7nm", "3nm"},
+		Models:       []string{"act", "stacked-3d"},
+		Integrations: []string{"monolithic", "3d"},
+		Chiplets:     []int{2, 4},
+		ChipletNodes: []string{"10nm", "14nm"},
+	}
+	cg, err := g.compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (V_DD, node, integration) decide the pricing; the other three axes
+	// only multiply the cells.
+	if got, want := len(cg.costReps), 2*2*2; got != want {
+		t.Fatalf("%d cost classes over %d cells, want %d", got, len(cg.cells), want)
+	}
+	for i := range cg.cells {
+		rep := &cg.cells[cg.costReps[cg.cells[i].costClass]]
+		c := &cg.cells[i]
+		if c.clockR != rep.clockR || c.energyR != rep.energyR || c.partition.Integration != rep.partition.Integration {
+			t.Fatalf("cell %d shares cost class %d with a cell of different pricing inputs", i, c.costClass)
+		}
+	}
+
+	task := paperTask(t, "XR (5 kernels)")
+	naive, err := EvaluateGrid(task, g, carbon.FabTaiwan, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := EvaluateStream(context.Background(), task, g, carbon.FabTaiwan, 200, StreamOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStreamMatchesNaive(t, r, naive)
+
+	// Every evaluated point, not just the survivors, is bit-identical.
+	se, err := newShapeEval(cg, []workload.Task{task}, NewMemoCache(0), carbon.FabTaiwan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := newEvalScratch(se)
+	buf := make([][]Point, 1)
+	for si := 0; si < cg.shapes(); si++ {
+		if err := evalShape(se, si, sc, buf); err != nil {
+			t.Fatal(err)
+		}
+		for ci, got := range buf[0] {
+			want := naive.Points[si*len(cg.cells)+ci]
+			if got.Delay != want.Delay || got.Energy != want.Energy || got.Embodied != want.Embodied ||
+				got.Area != want.Area || got.Model != want.Model {
+				t.Fatalf("point %s: batched %+v != naive %+v", want.Config.ID, got, want)
+			}
+		}
+	}
 }
 
 // TestPartitionEnvelopeKeepsChipletDesigns: on a die large enough for yield

@@ -205,84 +205,33 @@ func (a *taskAcc) result(task workload.Task, ci units.CarbonIntensity) *StreamRe
 	}
 }
 
-// streamPlatform implements workload.Platform over pre-computed shape
-// profiles, memoizing per-kernel costs so tasks sharing a kernel price it
-// once per configuration. Replay goes through the same layerCostOf helper
-// as the direct simulator path, so costs are bit-identical to Evaluate's.
-//
-// Storage is dense — indexed by nn.KernelIndex instead of per-cell maps —
-// and the platform is reused across cells: reset() advances a generation
-// counter, invalidating every memoized cost in O(1) without clearing, so
-// the steady-state evaluation loop performs no allocations at all.
-type streamPlatform struct {
-	cfg  accel.Config
-	leak units.Power
-
-	// profiles holds the current shape's kernel profiles, dense by kernel
-	// index; nil slots fall back to the direct simulator path.
-	profiles []*accel.ShapeProfile
-
-	// costs[i] is valid iff costGen[i] == gen.
-	costs   []workload.KernelCost
-	costGen []uint64
-	gen     uint64
-}
-
-func newStreamPlatform() *streamPlatform {
-	n := nn.NumKernels()
-	return &streamPlatform{
-		profiles: make([]*accel.ShapeProfile, n),
-		costs:    make([]workload.KernelCost, n),
-		costGen:  make([]uint64, n),
-	}
-}
-
-// reset points the platform at a new cell, invalidating the cost memo.
-// gen starts at 0 and costGen slots are 0, so reset must run before the
-// first KernelCost call — it always does: every caller resets per cell.
-func (p *streamPlatform) reset(cfg accel.Config) {
-	p.cfg = cfg
-	p.leak = cfg.LeakagePower()
-	p.gen++
-}
-
-func (p *streamPlatform) KernelCost(id nn.KernelID) (workload.KernelCost, error) {
-	i, ok := nn.KernelIndex(id)
-	if !ok || p.profiles[i] == nil {
-		// A kernel outside the profiled union — fall back to the direct path.
-		return p.cfg.KernelCost(id)
-	}
-	if p.costGen[i] == p.gen {
-		return p.costs[i], nil
-	}
-	kc := p.profiles[i].Cost(p.cfg)
-	p.costs[i] = kc
-	p.costGen[i] = p.gen
-	return kc, nil
-}
-
-func (p *streamPlatform) LeakagePower() units.Power { return p.leak }
-
-// evalScratch is one worker's reusable evaluation state: the replay
-// platform, the batched memo-lookup buffer, and the per-shape embodied
-// carbon memo (embodied depends only on the cell's (node, model, area-ratio)
-// equivalence class — V_DD never enters it — so each class is priced once
-// per shape instead of once per cell). One scratch serves any number of
-// shapes; nothing escapes it, so the whole inner loop is allocation-free
-// after warm-up.
+// evalScratch is one worker's reusable evaluation state: the batched
+// memo-lookup buffer, one cell's kernel costs, the per-shape embodied
+// carbon memo (embodied depends only on the cell's (node, model,
+// area-ratio) equivalence class — V_DD never enters it — so each class is
+// priced once per shape instead of once per cell), and the batched
+// replay's pricings and [cost class][kernel] table. One scratch serves any
+// number of shapes; nothing escapes it, so the whole inner loop is
+// allocation-free after warm-up. The batch buffers are sized on the first
+// evalShape, so a scratch that only serves sgEval never grows them.
 type evalScratch struct {
-	plat    *streamPlatform
 	kprof   []*accel.ShapeProfile // parallel to the kernel union
+	costs   []workload.KernelCost // one cell's kernel costs, parallel to the kernel union
 	embSeen []bool                // indexed by gridCell.embClass
 	emb     []units.Carbon
+
+	replay  accel.Replay
+	pricing []accel.Pricing       // indexed by cost class
+	column  []workload.KernelCost // one kernel's cost under every class
+	table   []workload.KernelCost // [cost class][kernel union slot]
 }
 
-func newEvalScratch(cg *compiledGrid, kernels []nn.KernelID) *evalScratch {
+func newEvalScratch(se *shapeEval) *evalScratch {
 	return &evalScratch{
-		plat:    newStreamPlatform(),
-		kprof:   make([]*accel.ShapeProfile, len(kernels)),
-		embSeen: make([]bool, cg.embClasses),
-		emb:     make([]units.Carbon, cg.embClasses),
+		kprof:   make([]*accel.ShapeProfile, len(se.kernels)),
+		costs:   make([]workload.KernelCost, len(se.kernels)),
+		embSeen: make([]bool, se.cg.embClasses),
+		emb:     make([]units.Carbon, se.cg.embClasses),
 	}
 }
 
@@ -330,24 +279,44 @@ func EvaluateStreamTasks(ctx context.Context, tasks []workload.Task, g Grid, fab
 	return EvaluateStreamCheckpointedTasks(ctx, tasks, g, fab, ci, CheckpointOptions{StreamOptions: opt})
 }
 
-// evalShape evaluates every cell of shape si for every task: the shape's
-// kernel profiles are fetched in one batched memo round-trip and replayed
-// across the cells through the scratch's reusable platform. buffers holds
-// one slice per task, reset and filled in cell order — evaluation semantics
-// are bit-identical to the direct path (the property suite holds them
-// equal). Cells are enumerated without IDs (gridPointID strings are stamped
-// on envelope acceptance), and embodied carbon is computed once per
-// (shape, embodied-class) instead of once per cell; with pre-sized buffers
-// the loop allocates nothing in steady state.
-func evalShape(cg *compiledGrid, si int, kernels []nn.KernelID, tasks []workload.Task, memo *MemoCache, fab carbon.Fab, yield carbon.YieldModel, sc *evalScratch, buffers [][]Point) error {
-	shapeCfg := cg.shapeConfig(si)
-	if err := memo.Profiles(shapeCfg, kernels, sc.kprof); err != nil {
-		return err
+// shapeEval is one run's read-only evaluation context, shared by its
+// workers: the grid, the kernel union, and each task's call counts
+// resolved once against the union (workload.Task.Terms).
+type shapeEval struct {
+	cg      *compiledGrid
+	kernels []nn.KernelID
+	terms   [][]workload.Term // per task
+	memo    *MemoCache
+	fab     carbon.Fab
+	yield   carbon.YieldModel
+}
+
+func newShapeEval(cg *compiledGrid, tasks []workload.Task, memo *MemoCache, fab carbon.Fab, yield carbon.YieldModel) (*shapeEval, error) {
+	se := &shapeEval{cg: cg, kernels: kernelUnion(tasks), terms: make([][]workload.Term, len(tasks)), memo: memo, fab: fab, yield: yield}
+	for ti, task := range tasks {
+		terms, err := task.Terms(se.kernels)
+		if err != nil {
+			return nil, err
+		}
+		se.terms[ti] = terms
 	}
-	for i, id := range kernels {
-		// kernelUnion only emits canonical kernels, so the index always resolves.
-		ki, _ := nn.KernelIndex(id)
-		sc.plat.profiles[ki] = sc.kprof[i]
+	return se, nil
+}
+
+// evalShape evaluates every cell of shape si for every task: priceShape
+// fills the [cost class][kernel] table, whose row for the cell's class
+// workload.Fold reads per cell and task. buffers holds one slice per task,
+// reset and filled in cell order — every value is bit-identical to the
+// direct path (the property suite holds them equal). Cells are enumerated
+// without IDs (gridPointID strings are stamped on envelope acceptance), and
+// embodied carbon is computed once per (shape, embodied-class) instead of
+// once per cell; with pre-sized buffers the loop allocates nothing in
+// steady state.
+func evalShape(se *shapeEval, si int, sc *evalScratch, buffers [][]Point) error {
+	cg := se.cg
+	shape := cg.shapeConfig(si)
+	if err := se.priceShape(shape, sc); err != nil {
+		return err
 	}
 	for i := range sc.embSeen {
 		sc.embSeen[i] = false
@@ -355,12 +324,12 @@ func evalShape(cg *compiledGrid, si int, kernels []nn.KernelID, tasks []workload
 	for ti := range buffers {
 		buffers[ti] = buffers[ti][:0]
 	}
-	cells := int64(len(cg.cells))
-	base := int64(si) * cells
-	for off := int64(0); off < cells; off++ {
-		cfg, cell := cg.atNoID(base + off)
+	for ci := range cg.cells {
+		cell := &cg.cells[ci]
+		cfg := shape
+		applyCell(&cfg, cell)
 		if !sc.embSeen[cell.embClass] {
-			emb, err := cfg.EmbodiedWith(cell.model, yield, cell.process, fab)
+			emb, err := cfg.EmbodiedWith(cell.model, se.yield, cell.process, se.fab)
 			if err != nil {
 				return err
 			}
@@ -369,12 +338,10 @@ func evalShape(cg *compiledGrid, si int, kernels []nn.KernelID, tasks []workload
 		}
 		emb := sc.emb[cell.embClass]
 		area := cfg.TotalArea()
-		sc.plat.reset(cfg)
-		for ti, task := range tasks {
-			cost, err := workload.Evaluate(task, sc.plat)
-			if err != nil {
-				return err
-			}
+		leak := cfg.LeakagePower()
+		costs := sc.table[cell.costClass*len(se.kernels):][:len(se.kernels)]
+		for ti, terms := range se.terms {
+			cost := workload.Fold(terms, costs, leak)
 			buffers[ti] = append(buffers[ti], Point{
 				Config:   cfg,
 				Delay:    cost.Delay,
@@ -383,6 +350,40 @@ func evalShape(cg *compiledGrid, si int, kernels []nn.KernelID, tasks []workload
 				Area:     area,
 				Model:    cell.modelName,
 			})
+		}
+	}
+	return nil
+}
+
+// priceShape fills sc.table with every kernel's cost under every cost class
+// of one shape: the shape's kernel profiles come from the memo in one
+// batched round-trip, and each is replayed once for all of the grid's cost
+// classes in one pass (accel.Replay).
+func (se *shapeEval) priceShape(shape accel.Config, sc *evalScratch) error {
+	cg := se.cg
+	if err := se.memo.Profiles(shape, se.kernels, sc.kprof); err != nil {
+		return err
+	}
+	if sc.pricing == nil {
+		sc.pricing = make([]accel.Pricing, 0, len(cg.costReps))
+	}
+	sc.pricing = sc.pricing[:0]
+	for _, ci := range cg.costReps {
+		cfg := shape
+		applyCell(&cfg, &cg.cells[ci])
+		sc.pricing = append(sc.pricing, cfg.Pricing())
+	}
+	sc.replay.Load(sc.pricing)
+	classes, nk := len(cg.costReps), len(se.kernels)
+	if cap(sc.table) < classes*nk {
+		sc.column = make([]workload.KernelCost, classes)
+		sc.table = make([]workload.KernelCost, classes*nk)
+	}
+	sc.column, sc.table = sc.column[:classes], sc.table[:classes*nk]
+	for i, sp := range sc.kprof {
+		sc.replay.Cost(sp, sc.column)
+		for k, kc := range sc.column {
+			sc.table[k*nk+i] = kc
 		}
 	}
 	return nil

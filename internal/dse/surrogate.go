@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"cordoba/internal/carbon"
-	"cordoba/internal/nn"
 	"cordoba/internal/units"
 	"cordoba/internal/workload"
 )
@@ -668,28 +667,26 @@ func (m *sgRBF) predict(space *sgSpace, idx [sgAxes]int) (x, y float64) {
 
 // sgEval prices one grid point exactly like the exhaustive engine: the
 // shape's kernel profiles come from the shared memo (computed on first use)
-// and are replayed through the same streamPlatform, so a surrogate-evaluated
-// point is bit-identical to its exhaustive twin.
-func sgEval(cg *compiledGrid, id int64, kernels []nn.KernelID, task workload.Task, memo *MemoCache, fab carbon.Fab, yield carbon.YieldModel, sc *evalScratch) (Point, error) {
+// and are replayed one cell at a time (accel.ShapeProfile.Cost, the
+// one-cell case of evalShape's batched replay), then folded through the
+// same resolved task terms, so a surrogate-evaluated point is bit-identical
+// to its exhaustive twin.
+func sgEval(se *shapeEval, id int64, sc *evalScratch) (Point, error) {
+	cg := se.cg
 	si := int(id / int64(len(cg.cells)))
-	shapeCfg := cg.shapeConfig(si)
-	if err := memo.Profiles(shapeCfg, kernels, sc.kprof); err != nil {
+	if err := se.memo.Profiles(cg.shapeConfig(si), se.kernels, sc.kprof); err != nil {
 		return Point{}, err
-	}
-	for i, kid := range kernels {
-		ki, _ := nn.KernelIndex(kid)
-		sc.plat.profiles[ki] = sc.kprof[i]
 	}
 	cfg, cell := cg.at(id)
-	emb, err := cfg.EmbodiedWith(cell.model, yield, cell.process, fab)
+	emb, err := cfg.EmbodiedWith(cell.model, se.yield, cell.process, se.fab)
 	if err != nil {
 		return Point{}, err
 	}
-	sc.plat.reset(cfg)
-	cost, err := workload.Evaluate(task, sc.plat)
-	if err != nil {
-		return Point{}, err
+	terms := se.terms[0]
+	for _, tm := range terms {
+		sc.costs[tm.Slot] = sc.kprof[tm.Slot].Cost(cfg)
 	}
+	cost := workload.Fold(terms, sc.costs, cfg.LeakagePower())
 	return Point{
 		Config:   cfg,
 		Delay:    cost.Delay,
@@ -703,7 +700,7 @@ func sgEval(cg *compiledGrid, id int64, kernels []nn.KernelID, task workload.Tas
 // sgEvalBatch evaluates candidate ids in parallel and returns their points
 // in input order; callers accumulate sequentially so floating-point order —
 // and therefore every checkpoint — is independent of worker scheduling.
-func sgEvalBatch(ctx context.Context, cg *compiledGrid, ids []int64, kernels []nn.KernelID, task workload.Task, memo *MemoCache, fab carbon.Fab, yield carbon.YieldModel, workers int) ([]Point, error) {
+func sgEvalBatch(ctx context.Context, se *shapeEval, ids []int64, workers int) ([]Point, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -721,12 +718,12 @@ func sgEvalBatch(ctx context.Context, cg *compiledGrid, ids []int64, kernels []n
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := newEvalScratch(cg, kernels)
+			sc := newEvalScratch(se)
 			for i := range next {
 				if ctx.Err() != nil {
 					continue
 				}
-				pt, err := sgEval(cg, ids[i], kernels, task, memo, fab, yield, sc)
+				pt, err := sgEval(se, ids[i], sc)
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 					continue
@@ -787,7 +784,10 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 	if memo == nil {
 		memo = NewMemoCache(0)
 	}
-	kernels := kernelUnion([]workload.Task{task})
+	se, err := newShapeEval(cg, []workload.Task{task}, memo, fab, opt.Yield)
+	if err != nil {
+		return nil, err
+	}
 	fp := surrogateFingerprint(task, g, fab, ci, opt.Yield, seed, budget, population, opt.Generations)
 
 	rng := newSgRand(seed)
@@ -801,7 +801,7 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 	// evaluate prices a batch of unseen candidate ids (ascending) and folds
 	// them into the archive, the population, and the evaluated set.
 	evaluate := func(ids []int64, idxs [][sgAxes]int) error {
-		pts, err := sgEvalBatch(ctx, cg, ids, kernels, task, memo, fab, opt.Yield, opt.Workers)
+		pts, err := sgEvalBatch(ctx, se, ids, opt.Workers)
 		if err != nil {
 			return err
 		}

@@ -28,20 +28,11 @@ const (
 	SR1024 KernelID = "SR-1024x1024" // super-resolution 1024² [5]
 )
 
-// allKernels is the canonical kernel order. AllKernels hands out copies;
-// hot paths index it through KernelIndex/NumKernels without allocating.
+// allKernels is the canonical kernel order. AllKernels hands out copies.
 var allKernels = [...]KernelID{
 	RN18, RN50, RN152, GN, MN2, ET, Agg3D, HRN,
 	EFAN, JLP, UNet, DN, SR256, SR512, SR1024,
 }
-
-var kernelIndex = func() map[KernelID]int {
-	m := make(map[KernelID]int, len(allKernels))
-	for i, id := range allKernels {
-		m[id] = i
-	}
-	return m
-}()
 
 // AllKernels returns every kernel ID in a stable order.
 func AllKernels() []KernelID {
@@ -49,20 +40,6 @@ func AllKernels() []KernelID {
 	copy(out, allKernels[:])
 	return out
 }
-
-// NumKernels returns the size of the canonical kernel set.
-func NumKernels() int { return len(allKernels) }
-
-// KernelIndex returns a kernel's position in AllKernels order — the dense
-// index the DSE engine keys its per-worker scratch with — and whether the
-// kernel is known.
-func KernelIndex(id KernelID) (int, bool) {
-	i, ok := kernelIndex[id]
-	return i, ok
-}
-
-// KernelAt returns the kernel at a dense index (the inverse of KernelIndex).
-func KernelAt(i int) KernelID { return allKernels[i] }
 
 var (
 	kernelMu    sync.Mutex

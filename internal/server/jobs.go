@@ -72,6 +72,9 @@ func (s *Server) initJobs() {
 	m.SetRunner(jobKindShardDSE, s.runShardDSEJob)
 	m.SetRunner(jobKindClusterDSE, s.runClusterDSEJob)
 	m.SetRunner(jobKindSurrogateDSE, s.runSurrogateDSEJob)
+	for kind, r := range s.cfg.Runners {
+		m.SetRunner(kind, r)
+	}
 	s.jobs = m
 	s.metrics.SetJobStats(m.Counts)
 	s.metrics.SetTenantStats(m.TenantCounts)

@@ -87,6 +87,11 @@ type Config struct {
 	// sha256(kind ‖ request), letting any daemon sharing the directory adopt
 	// another's orphaned checkpoint).
 	JobStore string
+	// Runners substitutes job executors by kind ("dse", "dse-shard", ...).
+	// They are registered before the job manager starts, so jobs recovered
+	// from JobDir at startup already run under them. Tests use it to swap in
+	// deterministic runners; nil keeps the built-in ones.
+	Runners map[string]job.Runner
 
 	// Multi-tenant serving. TenantFile names the API-key registry (see
 	// internal/tenant for the schema); empty runs the daemon in open

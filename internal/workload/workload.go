@@ -7,6 +7,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"cordoba/internal/nn"
 	"cordoba/internal/units"
@@ -152,14 +153,72 @@ func Evaluate(t Task, p Platform) (Cost, error) {
 		if err != nil {
 			return Cost{}, fmt.Errorf("workload: task %q: %w", t.Name, err)
 		}
-		c.Delay += units.Time(n) * kc.Delay
-		c.Energy += units.Energy(n) * kc.DynamicEnergy
+		c.add(n, kc)
 	}
 	if visited != len(t.Calls) {
 		return Cost{}, fmt.Errorf("workload: task %q references %d kernels outside the known set", t.Name, len(t.Calls)-visited)
 	}
 	c.Energy += p.LeakagePower().Over(c.Delay)
 	return c, nil
+}
+
+// add accumulates one kernel's N_{T,K}-weighted delay and dynamic energy —
+// the one place the sums of eq. IV.2 and IV.4 are written.
+func (c *Cost) add(n float64, kc KernelCost) {
+	c.Delay += units.Time(n) * kc.Delay
+	c.Energy += units.Energy(n) * kc.DynamicEnergy
+}
+
+// Term is one non-zero entry of a task's N_{T,K} row, resolved for a hot
+// loop: Slot indexes the caller's kernel-cost slice.
+type Term struct {
+	Slot int
+	N    float64
+}
+
+// Terms resolves the task's non-zero call counts once, in canonical kernel
+// order, with Slot set to each kernel's position in basis. It rejects
+// exactly what Evaluate rejects, plus kernels absent from basis. Fold over
+// the terms then repeats Evaluate's accumulation without a map lookup per
+// kernel.
+func (t Task) Terms(basis []nn.KernelID) ([]Term, error) {
+	var terms []Term
+	visited := 0
+	for _, id := range canonicalKernels {
+		n, ok := t.Calls[id]
+		if !ok {
+			continue
+		}
+		visited++
+		if n == 0 {
+			continue
+		}
+		if n < 0 {
+			return nil, fmt.Errorf("workload: task %q has negative call count for %s", t.Name, id)
+		}
+		slot := slices.Index(basis, id)
+		if slot < 0 {
+			return nil, fmt.Errorf("workload: task %q: kernel %s is outside the evaluated basis", t.Name, id)
+		}
+		terms = append(terms, Term{Slot: slot, N: n})
+	}
+	if visited != len(t.Calls) {
+		return nil, fmt.Errorf("workload: task %q references %d kernels outside the known set", t.Name, len(t.Calls)-visited)
+	}
+	return terms, nil
+}
+
+// Fold is Evaluate over resolved terms: costs[term.Slot] is the kernel cost
+// the term weights, and leak the platform's leakage power. For terms from
+// t.Terms it is bit-identical to Evaluate(t, p) on a platform pricing the
+// same kernel costs.
+func Fold(terms []Term, costs []KernelCost, leak units.Power) Cost {
+	var c Cost
+	for _, tm := range terms {
+		c.add(tm.N, costs[tm.Slot])
+	}
+	c.Energy += leak.Over(c.Delay)
+	return c
 }
 
 // Matrix is the explicit N_{T,K} matrix of eq. IV.2: rows are tasks, columns

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"cordoba/internal/nn"
@@ -242,6 +243,66 @@ func TestEvaluateDeterministic(t *testing.T) {
 		}
 		if again != first {
 			t.Fatal("evaluation is nondeterministic")
+		}
+	}
+}
+
+// indexedPlatform prices each kernel differently, by canonical index, so a
+// fold that mixes up kernels or their order shows up bit-wise.
+type indexedPlatform struct{ leak units.Power }
+
+func (p indexedPlatform) KernelCost(id nn.KernelID) (KernelCost, error) {
+	i := slices.Index(nn.AllKernels(), id)
+	if i < 0 {
+		return KernelCost{}, fmt.Errorf("unknown kernel %s", id)
+	}
+	return KernelCost{Delay: units.Time(0.001 * math.Pi * float64(i+1)), DynamicEnergy: units.Energy(0.37 / float64(i+3))}, nil
+}
+
+func (p indexedPlatform) LeakagePower() units.Power { return p.leak }
+
+// TestFoldMatchesEvaluate: Terms resolved against a basis, then Fold over
+// the basis-ordered costs, is bit-identical to Evaluate for every paper
+// task and the weighted XR session — with the basis in reverse canonical
+// order, so Slot really is looked up, not assumed.
+func TestFoldMatchesEvaluate(t *testing.T) {
+	basis := nn.AllKernels()
+	for i, j := 0, len(basis)-1; i < j; i, j = i+1, j-1 {
+		basis[i], basis[j] = basis[j], basis[i]
+	}
+	p := indexedPlatform{leak: 0.0123}
+	costs := make([]KernelCost, len(basis))
+	for i, id := range basis {
+		costs[i], _ = p.KernelCost(id)
+	}
+	tasks := append(PaperTasks(), XRGamingSession(),
+		Task{Name: "with zero", Calls: map[nn.KernelID]float64{nn.RN18: 2, nn.MN2: 0}})
+	for _, task := range tasks {
+		terms, err := task.Terms(basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Evaluate(task, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Fold(terms, costs, p.leak); got != want {
+			t.Fatalf("%s: Fold %+v != Evaluate %+v", task.Name, got, want)
+		}
+	}
+}
+
+// TestTermsErrors: Terms rejects what Evaluate rejects, plus kernels the
+// basis does not price.
+func TestTermsErrors(t *testing.T) {
+	basis := []nn.KernelID{nn.RN18}
+	for _, task := range []Task{
+		{Name: "neg", Calls: map[nn.KernelID]float64{nn.RN18: -1}},
+		{Name: "alien", Calls: map[nn.KernelID]float64{"not-a-kernel": 1}},
+		{Name: "outside", Calls: map[nn.KernelID]float64{nn.RN50: 1}},
+	} {
+		if _, err := task.Terms(basis); err == nil {
+			t.Errorf("%s: Terms accepted it", task.Name)
 		}
 	}
 }
