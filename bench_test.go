@@ -68,11 +68,11 @@ func BenchmarkFullDSE(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateParallel compares the sequential 121-point grid
-// evaluation against the fanned-out version across worker counts — the
-// numbers behind cordobad's default pool sizing (speedup flattens after a
-// handful of workers, so the daemon admits several moderately parallel
-// evaluations rather than one maximally parallel one).
+// BenchmarkEvaluateParallel times the 121-point grid evaluation across
+// worker counts, each run on a cold private memo — the numbers behind
+// cordobad's default pool sizing (speedup flattens after a handful of
+// workers, so the daemon admits several moderately parallel evaluations
+// rather than one maximally parallel one). workers=1 is the sequential run.
 func BenchmarkEvaluateParallel(b *testing.B) {
 	task, err := cordoba.PaperTask(cordoba.TaskAllKernels)
 	if err != nil {
@@ -80,19 +80,11 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 	}
 	grid := cordoba.Grid()
 
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cordoba.Explore(task, grid); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, workers := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := cordoba.ExploreParallel(task, grid, workers); err != nil {
+				if _, err := cordoba.ExploreParallelAt(task, grid, cordoba.Process7nm(), cordoba.FabCoal, 380, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -39,15 +39,9 @@ type benchResult struct {
 	AllocsOp float64 `json:"allocs_op,omitempty"`
 }
 
-// UnmarshalJSON accepts both the current object form and the legacy baseline
-// format — a bare ns/op number — so pre-existing baselines keep gating time
-// until regenerated.
+// UnmarshalJSON reads a baseline entry. An entry holding only ns_op gates
+// time alone: its absent memory columns become the negative sentinels.
 func (b *benchResult) UnmarshalJSON(data []byte) error {
-	var ns float64
-	if err := json.Unmarshal(data, &ns); err == nil {
-		*b = benchResult{NsOp: ns, BOp: -1, AllocsOp: -1}
-		return nil
-	}
 	type alias benchResult
 	var a alias
 	if err := json.Unmarshal(data, &a); err != nil {

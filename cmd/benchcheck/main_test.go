@@ -94,23 +94,22 @@ func TestCheckGatesAllocations(t *testing.T) {
 	}
 }
 
-func TestBaselineLegacyFormat(t *testing.T) {
-	// Pre-existing baselines are bare ns/op numbers; they must keep gating
-	// time and never gate memory.
+func TestBaselineTimeOnlyEntry(t *testing.T) {
+	// An entry holding only ns_op gates time and never gates memory.
 	dir := t.TempDir()
 	base := filepath.Join(dir, "baseline.json")
-	legacy := `{"BenchmarkStreamingDSE/naive": 7613378000, "BenchmarkStreamingDSE/streaming": 536123456, "BenchmarkEvaluateParallel": 123456789}`
-	if err := os.WriteFile(base, []byte(legacy), 0o644); err != nil {
+	timeOnly := `{"BenchmarkStreamingDSE/naive": {"ns_op": 7613378000}, "BenchmarkStreamingDSE/streaming": {"ns_op": 536123456}, "BenchmarkEvaluateParallel": {"ns_op": 123456789}}`
+	if err := os.WriteFile(base, []byte(timeOnly), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if code := run([]string{"-baseline", base},
 		strings.NewReader(sampleOutput), io.Discard, io.Discard); code != 0 {
-		t.Fatalf("legacy-baseline compare exited %d", code)
+		t.Fatalf("time-only compare exited %d", code)
 	}
 	slow := strings.Replace(sampleOutput, "7613378000 ns/op", "22840134000 ns/op", 1)
 	if code := run([]string{"-baseline", base},
 		strings.NewReader(slow), io.Discard, io.Discard); code != 1 {
-		t.Fatalf("legacy-baseline regression exited %d, want 1", code)
+		t.Fatalf("time-only regression exited %d, want 1", code)
 	}
 }
 

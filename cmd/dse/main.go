@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -52,7 +53,7 @@ func run(w io.Writer, args []string) error {
 	if *stacked {
 		configs = accel.Stacked3D()
 	}
-	s, err := dse.Evaluate(task, configs, carbon.Process7nm(), carbon.FabCoal, units.CarbonIntensity(*ciUse))
+	s, err := dse.Evaluate(context.Background(), task, configs, carbon.Process7nm(), carbon.FabCoal, units.CarbonIntensity(*ciUse), nil, dse.StreamOptions{})
 	if err != nil {
 		return err
 	}

@@ -294,35 +294,14 @@ type DesignPoint = dse.Point
 // Explore evaluates configurations on a task at the paper's anchor
 // parameters (7 nm, coal-heavy fab, CI_use = 380 g/kWh).
 func Explore(task Task, configs []AcceleratorConfig) (*DesignSpace, error) {
-	return dse.EvaluateDefault(task, configs)
+	return ExploreParallelAt(task, configs, carbon.Process7nm(), carbon.FabCoal, 380, 0)
 }
 
-// ExploreAt evaluates with explicit carbon-accounting parameters.
-func ExploreAt(task Task, configs []AcceleratorConfig, p Process, fab Fab, ci CarbonIntensity) (*DesignSpace, error) {
-	return dse.Evaluate(task, configs, p, fab, ci)
-}
-
-// ExploreParallel is Explore with the per-configuration simulations fanned
-// out across workers goroutines (workers < 1 selects GOMAXPROCS). Results
-// are identical to Explore; this is the entry point cordobad serves.
-func ExploreParallel(task Task, configs []AcceleratorConfig, workers int) (*DesignSpace, error) {
-	return dse.EvaluateParallel(task, configs, carbon.Process7nm(), carbon.FabCoal, 380, workers)
-}
-
-// ExploreParallelAt is ExploreAt with a bounded worker fan-out.
+// ExploreParallelAt evaluates configurations with explicit process, fab and
+// CI_use, fanned out across workers goroutines (workers < 1 selects
+// GOMAXPROCS). Points are identical at any worker count.
 func ExploreParallelAt(task Task, configs []AcceleratorConfig, p Process, fab Fab, ci CarbonIntensity, workers int) (*DesignSpace, error) {
-	return dse.EvaluateParallel(task, configs, p, fab, ci, workers)
-}
-
-// ExploreAccounting selects the embodied-carbon backend and yield model of an
-// exploration; the zero value is the historical ACT/Murphy pipeline.
-type ExploreAccounting = dse.Accounting
-
-// ExploreParallelWith is ExploreParallelAt under an explicit embodied-carbon
-// accounting — the entry point for pricing the same design space through the
-// chiplet or 3D-stacking backends, or an alternative yield model.
-func ExploreParallelWith(task Task, configs []AcceleratorConfig, p Process, fab Fab, ci CarbonIntensity, workers int, acct ExploreAccounting) (*DesignSpace, error) {
-	return dse.EvaluateParallelWith(task, configs, p, fab, ci, workers, acct)
+	return dse.Evaluate(context.Background(), task, configs, p, fab, ci, nil, StreamOptions{Workers: workers})
 }
 
 // LogSpace returns k log-spaced operational times over [lo, hi].
@@ -340,7 +319,7 @@ type KnobGrid = dse.Grid
 // ever-optimal set plus grid-wide aggregates.
 type StreamResult = dse.StreamResult
 
-// StreamOptions tunes the streaming engine (worker fan-out, shared memo).
+// StreamOptions tunes every engine (worker fan-out, shared memo, yield model).
 type StreamOptions = dse.StreamOptions
 
 // MemoCache is the shared (kernel, config-signature) → shape-profile cache

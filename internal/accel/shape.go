@@ -55,7 +55,10 @@ type ShapeProfile struct {
 	// kernel whose keys differ only in SRAM can share it (ShapeProfileFrom),
 	// so a memo holding every SRAM size of a MAC count stores it once.
 	compute []layerCompute
-	mem     []layerMem
+	// mem holds each layer's SRAM-dependent half, which reads only SRAM and
+	// TilingPenalty: profiles of one kernel agreeing on those two share it,
+	// so a memo stores it once per SRAM size, not once per shape.
+	mem []layerMem
 }
 
 // ShapeProfile pre-computes a kernel's layer shapes on this configuration.
@@ -63,11 +66,13 @@ func (c Config) ShapeProfile(id nn.KernelID) (*ShapeProfile, error) {
 	return c.ShapeProfileFrom(id, nil)
 }
 
-// ShapeProfileFrom is ShapeProfile sharing base's SRAM-independent half
-// (each layer's MAC count and clock-free throughput) when base profiles the
-// same kernel under a key that differs from this configuration's at most
-// in SRAM. Any other base, or nil, is ignored.
-func (c Config) ShapeProfileFrom(id nn.KernelID, base *ShapeProfile) (*ShapeProfile, error) {
+// ShapeProfileFrom is ShapeProfile sharing halves with siblings profiling
+// the same kernel: the SRAM-independent half (each layer's MAC count and
+// clock-free throughput) with one whose key differs from this
+// configuration's at most in SRAM, and the SRAM-dependent half (each
+// layer's activation and DRAM traffic) with one whose key agrees on SRAM
+// and TilingPenalty. Other siblings, and nils, are ignored.
+func (c Config) ShapeProfileFrom(id nn.KernelID, siblings ...*ShapeProfile) (*ShapeProfile, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -76,25 +81,43 @@ func (c Config) ShapeProfileFrom(id nn.KernelID, base *ShapeProfile) (*ShapeProf
 		return nil, err
 	}
 	key := c.ShapeKey()
-	sp := &ShapeProfile{Kernel: id, Key: key, mem: make([]layerMem, len(net.Layers))}
-	if base != nil && base.Kernel == id && base.Key.computeKey() == key.computeKey() {
-		sp.compute = base.compute
-	} else {
+	sp := &ShapeProfile{Kernel: id, Key: key}
+	for _, s := range siblings {
+		if s == nil || s.Kernel != id {
+			continue
+		}
+		if sp.compute == nil && s.Key.ComputeKey() == key.ComputeKey() {
+			sp.compute = s.compute
+		}
+		if sp.mem == nil && s.Key.MemKey() == key.MemKey() {
+			sp.mem = s.mem
+		}
+	}
+	if sp.compute == nil {
 		sp.compute = make([]layerCompute, len(net.Layers))
 		for i := range net.Layers {
 			sp.compute[i] = c.layerCompute(&net.Layers[i])
 		}
 	}
-	for i := range net.Layers {
-		sp.mem[i] = c.layerMem(&net.Layers[i])
+	if sp.mem == nil {
+		sp.mem = make([]layerMem, len(net.Layers))
+		for i := range net.Layers {
+			sp.mem[i] = c.layerMem(&net.Layers[i])
+		}
 	}
 	return sp, nil
 }
 
-// computeKey clears SRAM: the key of a profile's SRAM-independent half.
-func (k ShapeKey) computeKey() ShapeKey {
+// ComputeKey clears SRAM: the key of a profile's SRAM-independent half.
+func (k ShapeKey) ComputeKey() ShapeKey {
 	k.SRAM = 0
 	return k
+}
+
+// MemKey keeps only the fields layerMem reads: the key of a profile's
+// SRAM-dependent half.
+func (k ShapeKey) MemKey() ShapeKey {
+	return ShapeKey{SRAM: k.SRAM, TilingPenalty: k.TilingPenalty}
 }
 
 // Pricing is the cell-dependent half of layerCostOf's inputs: a
@@ -328,7 +351,7 @@ func (r *Replay) row(sp *ShapeProfile) (row *ctRow, fill bool) {
 	if len(r.clks) > maxRowClocks {
 		return nil, false
 	}
-	key := sp.Key.computeKey()
+	key := sp.Key.ComputeKey()
 	for i := range r.rows {
 		if r.rows[i].kernel == sp.Kernel {
 			row = &r.rows[i]

@@ -350,3 +350,45 @@ func TestShapeProfileFromSharesComputeHalf(t *testing.T) {
 		}
 	}
 }
+
+// TestShapeProfileFromSharesMemHalf: a profile built from a sibling of
+// another MAC count at the same SRAM size shares the sibling's
+// SRAM-dependent half and still replays bit-identically to the direct path;
+// a sibling of another SRAM size or tiling penalty is ignored.
+func TestShapeProfileFromSharesMemHalf(t *testing.T) {
+	small, big := New("", 4, units.MB(2)), New("", 64, units.MB(2))
+	base := mustProfile(t, small, nn.SR512)
+	sp, err := big.ShapeProfileFrom(nn.SR512, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &sp.mem[0] != &base.mem[0] {
+		t.Fatal("sibling of another MAC count did not share the SRAM-dependent half")
+	}
+	direct, err := big.KernelCost(nn.SR512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sp.Cost(big); got != direct {
+		t.Fatalf("shared-half replay %+v != direct %+v", got, direct)
+	}
+
+	tiled := big
+	tiled.Params.TilingPenalty *= 2
+	for _, c := range []Config{New("", 64, units.MB(4)), tiled} {
+		sp, err := c.ShapeProfileFrom(nn.SR512, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &sp.mem[0] == &base.mem[0] {
+			t.Fatalf("%v MB, penalty %v: shared the SRAM-dependent half of an unrelated profile", c.SRAM.InMB(), c.Params.TilingPenalty)
+		}
+		direct, err := c.KernelCost(nn.SR512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sp.Cost(c); got != direct {
+			t.Fatalf("%v MB, penalty %v: replay %+v != direct %+v", c.SRAM.InMB(), c.Params.TilingPenalty, got, direct)
+		}
+	}
+}

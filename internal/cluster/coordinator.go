@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -129,7 +131,8 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	log := cfg.Logger
 	if log == nil {
-		log = slog.New(discardHandler{})
+		// A handler whose level no record reaches: logging is off.
+		log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	c := &Coordinator{cfg: cfg, log: log, hbStop: make(chan struct{})}
 	for _, u := range cfg.Workers {
@@ -596,12 +599,3 @@ func progressOf(total int, done map[int]api.ShardEnvelope) Progress {
 	}
 	return p
 }
-
-// discardHandler is a no-op slog handler (slog.DiscardHandler arrived after
-// the Go version this module pins).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }

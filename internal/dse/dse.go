@@ -16,10 +16,9 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"cordoba/internal/accel"
 	"cordoba/internal/carbon"
@@ -39,18 +38,9 @@ type Point struct {
 	Area     units.Area   // total silicon area
 
 	// Model names the embodied-carbon backend that priced the point when
-	// one was explicitly selected (an Accounting model or a grid Models
-	// knob); empty for the default ACT path.
+	// one was explicitly selected (Evaluate's model or a grid Models knob);
+	// empty for the default ACT path.
 	Model string
-}
-
-// Accounting selects the embodied-carbon backend of an exploration: the
-// pricing model and the yield model it derates dies with. The zero value is
-// the historical pipeline — ACT with Murphy yield — and evaluates
-// bit-identically to the pre-refactor engine.
-type Accounting struct {
-	Model carbon.Model      // nil selects ACT
-	Yield carbon.YieldModel // nil selects Murphy
 }
 
 // EDP returns the point's energy-delay product.
@@ -86,94 +76,49 @@ type Space struct {
 	Points []Point
 }
 
-// Evaluate runs every configuration on the task and computes embodied carbon
-// with the given process/fab. ci is the use-phase carbon intensity applied
-// during operational-time sweeps.
-func Evaluate(task workload.Task, configs []accel.Config, p carbon.Process, fab carbon.Fab, ci units.CarbonIntensity) (*Space, error) {
-	return EvaluateWith(task, configs, p, fab, ci, Accounting{})
-}
-
-// EvaluateWith is Evaluate under an explicit embodied-carbon accounting: the
-// backend (ACT, chiplet, 3D-stacking) and yield model pricing every design.
-// The zero-value accounting reproduces Evaluate bit for bit.
-func EvaluateWith(task workload.Task, configs []accel.Config, p carbon.Process, fab carbon.Fab, ci units.CarbonIntensity, acct Accounting) (*Space, error) {
+// Evaluate prices every configuration in the list on the task: the
+// explicit-list form of the engine behind the §VI-B/C and §VI-E studies.
+// Each configuration is validated, then priced exactly like a knob-grid
+// point (pricePoint): kernel profiles from the shape-profile memo, replayed
+// under the configuration and folded through the task's call counts, so
+// every point is bit-identical to the direct per-layer path. model selects
+// the embodied-carbon backend (nil is ACT and leaves Point.Model blank);
+// opt.Yield the yield model (nil is Murphy); a nil opt.Memo uses a private
+// cache for this call. Points stay in configuration order at any worker
+// count. ci is the use-phase carbon intensity applied during
+// operational-time sweeps. A cancelled ctx returns an error, never a
+// partial space.
+func Evaluate(ctx context.Context, task workload.Task, configs []accel.Config, p carbon.Process, fab carbon.Fab, ci units.CarbonIntensity, model carbon.Model, opt StreamOptions) (*Space, error) {
 	if len(configs) == 0 {
 		return nil, fmt.Errorf("dse: empty design space for task %q", task.Name)
 	}
 	if ci < 0 {
 		return nil, fmt.Errorf("dse: negative CI_use %v", ci)
 	}
-	s := &Space{Task: task, CIUse: ci, Points: make([]Point, 0, len(configs))}
-	for _, c := range configs {
-		pt, err := evalPointAcct(task, c, p, fab, acct)
-		if err != nil {
-			return nil, err
+	memo := opt.Memo
+	if memo == nil {
+		memo = NewMemoCache(0)
+	}
+	se, err := newShapeEval(nil, []workload.Task{task}, memo, fab, opt.Yield)
+	if err != nil {
+		return nil, err
+	}
+	var modelName string
+	if model != nil {
+		modelName = model.Name()
+	}
+	pts, err := evalBatch(ctx, se, len(configs), opt.Workers, func(i int, sc *evalScratch) (Point, error) {
+		// The memo is keyed on ShapeKey alone, so a hit would skip the
+		// validation a miss performs: validate every configuration here.
+		if err := configs[i].Validate(); err != nil {
+			return Point{}, err
 		}
-		s.Points = append(s.Points, pt)
+		return se.pricePoint(configs[i], model, modelName, p, sc)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
-}
-
-// EvaluateDefault evaluates at the paper's anchor: 7 nm, coal-heavy fab,
-// CI_use = 380 g/kWh.
-func EvaluateDefault(task workload.Task, configs []accel.Config) (*Space, error) {
-	return Evaluate(task, configs, carbon.Process7nm(), carbon.FabCoal, 380)
-}
-
-// EvaluateParallel is Evaluate with the per-configuration simulations fanned
-// out across `workers` goroutines. Results are identical to Evaluate (points
-// stay in configuration order); use it for large design spaces or many
-// tasks. workers < 1 selects a sensible default.
-func EvaluateParallel(task workload.Task, configs []accel.Config, p carbon.Process, fab carbon.Fab, ci units.CarbonIntensity, workers int) (*Space, error) {
-	return EvaluateParallelWith(task, configs, p, fab, ci, workers, Accounting{})
-}
-
-// EvaluateParallelWith is EvaluateParallel under an explicit embodied-carbon
-// accounting; the zero value reproduces EvaluateParallel exactly.
-func EvaluateParallelWith(task workload.Task, configs []accel.Config, p carbon.Process, fab carbon.Fab, ci units.CarbonIntensity, workers int, acct Accounting) (*Space, error) {
-	if len(configs) == 0 {
-		return nil, fmt.Errorf("dse: empty design space for task %q", task.Name)
-	}
-	if ci < 0 {
-		return nil, fmt.Errorf("dse: negative CI_use %v", ci)
-	}
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(configs) {
-		workers = len(configs)
-	}
-
-	s := &Space{Task: task, CIUse: ci, Points: make([]Point, len(configs))}
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				pt, err := evalPointAcct(task, configs[i], p, fab, acct)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					continue
-				}
-				s.Points[i] = pt
-			}
-		}()
-	}
-	for i := range configs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return s, nil
+	return &Space{Task: task, CIUse: ci, Points: pts}, nil
 }
 
 // TCDPAt returns each design's tCDP after n inferences.

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,6 +10,12 @@ import (
 	"cordoba/internal/units"
 	"cordoba/internal/workload"
 )
+
+// evalDefault evaluates configs at the paper's anchor (7 nm, coal-heavy
+// fab, CI_use = 380 g/kWh) with default options.
+func evalDefault(task workload.Task, configs []accel.Config) (*Space, error) {
+	return Evaluate(context.Background(), task, configs, carbon.Process7nm(), carbon.FabCoal, 380, nil, StreamOptions{})
+}
 
 // evalTask evaluates one paper task over the full 121-config grid (cached
 // per test binary run — the grid evaluation is the expensive part).
@@ -23,7 +30,7 @@ func evalTask(t *testing.T, name string) *Space {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := EvaluateDefault(task, accel.Grid())
+	s, err := evalDefault(task, accel.Grid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +40,11 @@ func evalTask(t *testing.T, name string) *Space {
 
 func TestEvaluateValidation(t *testing.T) {
 	task, _ := workload.PaperTask(workload.TaskAI5)
-	if _, err := EvaluateDefault(task, nil); err == nil {
+	if _, err := evalDefault(task, nil); err == nil {
 		t.Error("empty design space should error")
 	}
 	bad := []accel.Config{{ID: "bad"}}
-	if _, err := EvaluateDefault(task, bad); err == nil {
+	if _, err := evalDefault(task, bad); err == nil {
 		t.Error("invalid config should propagate")
 	}
 }
@@ -352,16 +359,18 @@ func TestEDPOptimumIsOperationalTimeIndependent(t *testing.T) {
 	}
 }
 
-// EvaluateParallel must produce identical results to Evaluate, in order.
+// Evaluate at any worker count must produce identical results to a
+// single-worker run, in order.
 func TestEvaluateParallelMatchesSequential(t *testing.T) {
 	task, _ := workload.PaperTask(workload.TaskAI10)
 	grid := accel.Grid()
-	seq, err := EvaluateDefault(task, grid)
+	ctx := context.Background()
+	seq, err := Evaluate(ctx, task, grid, carbon.Process7nm(), carbon.FabCoal, 380, nil, StreamOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 0, 999} {
-		par, err := EvaluateParallel(task, grid, carbon.Process7nm(), carbon.FabCoal, 380, workers)
+		par, err := Evaluate(ctx, task, grid, carbon.Process7nm(), carbon.FabCoal, 380, nil, StreamOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -380,14 +389,15 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 
 func TestEvaluateParallelErrors(t *testing.T) {
 	task, _ := workload.PaperTask(workload.TaskAI5)
-	if _, err := EvaluateParallel(task, nil, carbon.Process7nm(), carbon.FabCoal, 380, 4); err == nil {
+	ctx, opt := context.Background(), StreamOptions{Workers: 4}
+	if _, err := Evaluate(ctx, task, nil, carbon.Process7nm(), carbon.FabCoal, 380, nil, opt); err == nil {
 		t.Error("empty space should error")
 	}
-	if _, err := EvaluateParallel(task, accel.Grid()[:3], carbon.Process7nm(), carbon.FabCoal, -1, 4); err == nil {
+	if _, err := Evaluate(ctx, task, accel.Grid()[:3], carbon.Process7nm(), carbon.FabCoal, -1, nil, opt); err == nil {
 		t.Error("negative CI should error")
 	}
 	bad := []accel.Config{{ID: "bad"}}
-	if _, err := EvaluateParallel(task, bad, carbon.Process7nm(), carbon.FabCoal, 380, 4); err == nil {
+	if _, err := Evaluate(ctx, task, bad, carbon.Process7nm(), carbon.FabCoal, 380, nil, opt); err == nil {
 		t.Error("invalid config should propagate")
 	}
 }

@@ -534,10 +534,10 @@ func (g Grid) Materialize() ([]accel.Config, []carbon.Process, error) {
 }
 
 // EvaluateGrid is the naive baseline: materialize the whole grid, then
-// evaluate every configuration exactly like Evaluate — re-deriving each
-// kernel's cost per configuration, holding all points in memory. It exists
-// as the reference implementation for the streaming engine's equivalence
-// tests and benchmarks.
+// evaluate every configuration through the direct per-layer path
+// (evalPointAcct) — re-deriving each kernel's cost per configuration,
+// holding all points in memory. It exists as the reference implementation
+// for every engine's equivalence tests and benchmarks.
 func EvaluateGrid(task workload.Task, g Grid, fab carbon.Fab, ci units.CarbonIntensity) (*Space, error) {
 	if ci < 0 {
 		return nil, fmt.Errorf("dse: negative CI_use %v", ci)
@@ -550,11 +550,38 @@ func EvaluateGrid(task workload.Task, g Grid, fab carbon.Fab, ci units.CarbonInt
 	s := &Space{Task: task, CIUse: ci, Points: make([]Point, 0, n)}
 	for i := int64(0); i < n; i++ {
 		c, cell := cg.at(i)
-		pt, err := evalPointAcct(task, c, cell.process, fab, Accounting{Model: cell.model})
+		pt, err := evalPointAcct(task, c, cell.process, fab, cell.model, nil)
 		if err != nil {
 			return nil, err
 		}
 		s.Points = append(s.Points, pt)
 	}
 	return s, nil
+}
+
+// evalPointAcct prices one configuration through the direct per-layer path
+// (workload.Evaluate over Config.KernelCost) under an embodied-carbon model
+// and yield model (nil selects ACT and Murphy). It is the oracle every
+// engine is held bit-identical to; production paths price through the memo
+// (pricePoint).
+func evalPointAcct(task workload.Task, c accel.Config, p carbon.Process, fab carbon.Fab, model carbon.Model, yield carbon.YieldModel) (Point, error) {
+	cost, err := workload.Evaluate(task, c)
+	if err != nil {
+		return Point{}, err
+	}
+	emb, err := c.EmbodiedWith(model, yield, p, fab)
+	if err != nil {
+		return Point{}, err
+	}
+	pt := Point{
+		Config:   c,
+		Delay:    cost.Delay,
+		Energy:   cost.Energy,
+		Embodied: emb,
+		Area:     c.TotalArea(),
+	}
+	if model != nil {
+		pt.Model = model.Name()
+	}
+	return pt, nil
 }

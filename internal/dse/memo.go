@@ -52,12 +52,13 @@ type MemoCache struct {
 	m    map[memoKey]*accel.ShapeProfile
 	kept []memoEntry // eviction's survivor buffer, see evictLocked
 
-	// bases maps (kernel, ShapeKey with SRAM cleared) to the latest profile
-	// inserted under it. A miss builds its profile from that sibling
+	// bases maps (kernel, ShapeKey.ComputeKey) and mems maps (kernel,
+	// ShapeKey.MemKey) to the latest profile inserted under them. A miss builds its profile from those siblings
 	// (accel.Config.ShapeProfileFrom), so every SRAM size of one MAC count
-	// shares a single copy of the SRAM-independent half. Cleared on
-	// eviction, which bounds it by the cache size.
-	bases map[memoKey]*accel.ShapeProfile
+	// shares a single copy of the SRAM-independent half, and every MAC count
+	// of one SRAM size a single copy of the SRAM-dependent half. Cleared on
+	// eviction, which bounds them by the cache size.
+	bases, mems map[memoKey]*accel.ShapeProfile
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -70,7 +71,12 @@ func NewMemoCache(max int) *MemoCache {
 	if max < 1 {
 		max = DefaultMemoEntries
 	}
-	return &MemoCache{max: max, m: make(map[memoKey]*accel.ShapeProfile), bases: make(map[memoKey]*accel.ShapeProfile)}
+	return &MemoCache{
+		max:   max,
+		m:     make(map[memoKey]*accel.ShapeProfile),
+		bases: make(map[memoKey]*accel.ShapeProfile),
+		mems:  make(map[memoKey]*accel.ShapeProfile),
+	}
 }
 
 // evictLocked makes room for one insert by dropping a random fraction of the
@@ -106,6 +112,7 @@ func (mc *MemoCache) evictLocked() {
 	clear(kept) // drop the buffer's profile references until the next eviction
 	mc.kept = kept
 	clear(mc.bases)
+	clear(mc.mems)
 }
 
 // insertLocked stores sp under k, evicting if full. When another worker
@@ -119,14 +126,9 @@ func (mc *MemoCache) insertLocked(k memoKey, sp *accel.ShapeProfile) *accel.Shap
 		mc.evictLocked()
 	}
 	mc.m[k] = sp
-	mc.bases[baseKey(k)] = sp
+	mc.bases[memoKey{k.kernel, k.key.ComputeKey()}] = sp
+	mc.mems[memoKey{k.kernel, k.key.MemKey()}] = sp
 	return sp
-}
-
-// baseKey is the bases key of a profile: its key with SRAM cleared.
-func baseKey(k memoKey) memoKey {
-	k.key.SRAM = 0
-	return k
 }
 
 // Profile returns the shape profile of kernel id on configuration c,
@@ -143,8 +145,9 @@ func (mc *MemoCache) Profile(c accel.Config, id nn.KernelID) (*accel.ShapeProfil
 // instead of one per kernel — the batched lookup the streaming engine's
 // per-shape hot path rides. The ShapeKey is computed once; on a full hit the
 // call performs no allocations. Missing profiles are computed outside the
-// lock, each from its cached sibling of another SRAM size when there is
-// one, and inserted with a single write-lock round-trip.
+// lock, each from its cached siblings of another SRAM size and of another
+// MAC count when there are, and inserted with a single write-lock
+// round-trip.
 func (mc *MemoCache) Profiles(c accel.Config, kernels []nn.KernelID, dst []*accel.ShapeProfile) error {
 	key := c.ShapeKey()
 
@@ -155,7 +158,7 @@ func (mc *MemoCache) Profiles(c accel.Config, kernels []nn.KernelID, dst []*acce
 		sp, ok := mc.m[k]
 		if !ok {
 			missing++
-			sp = mc.bases[baseKey(k)] // a sibling to build from, or nil
+			sp = mc.bases[memoKey{id, key.ComputeKey()}] // a sibling to build from, or nil
 		}
 		dst[i] = sp
 	}
@@ -170,7 +173,10 @@ func (mc *MemoCache) Profiles(c accel.Config, kernels []nn.KernelID, dst []*acce
 		if dst[i] != nil && dst[i].Key == key {
 			continue // hit
 		}
-		sp, err := c.ShapeProfileFrom(id, dst[i])
+		mc.mu.RLock()
+		mem := mc.mems[memoKey{id, key.MemKey()}]
+		mc.mu.RUnlock()
+		sp, err := c.ShapeProfileFrom(id, dst[i], mem)
 		if err != nil {
 			return err
 		}

@@ -152,9 +152,10 @@ func TestMemoChurnKeepsTableBounded(t *testing.T) {
 }
 
 // TestMemoMissBuildsFromSibling: a miss whose MAC count is already cached
-// at another SRAM size builds only the SRAM-dependent half of its profile
-// (one slice fewer than a cold miss), and the result replays exactly like a
-// profile built from scratch.
+// at another SRAM size builds only the SRAM-dependent half of its profile,
+// and one whose SRAM size is already cached at another MAC count only the
+// SRAM-independent half (each one slice fewer than a cold miss); the result
+// replays exactly like a profile built from scratch.
 func TestMemoMissBuildsFromSibling(t *testing.T) {
 	kernels := []nn.KernelID{nn.SR512}
 	dst := make([]*accel.ShapeProfile, 1)
@@ -172,9 +173,13 @@ func TestMemoMissBuildsFromSibling(t *testing.T) {
 		})
 	}
 	sibling := missAllocs(func(i int) accel.Config { return accel.New("", 16, units.MB(float64(1+i))) })
-	cold := missAllocs(func(i int) accel.Config { return accel.New("", 16+i, units.MB(1)) })
+	memSibling := missAllocs(func(i int) accel.Config { return accel.New("", 16+i, units.MB(1)) })
+	cold := missAllocs(func(i int) accel.Config { return accel.New("", 16+i, units.MB(float64(1+i))) })
 	if sibling > cold-0.5 {
 		t.Fatalf("a miss with a cached sibling allocates %.1f objects, a cold miss %.1f; want one slice fewer", sibling, cold)
+	}
+	if memSibling > cold-0.5 {
+		t.Fatalf("a miss with a cached SRAM sibling allocates %.1f objects, a cold miss %.1f; want one slice fewer", memSibling, cold)
 	}
 
 	c := accel.New("", 16, units.MB(7))
@@ -182,13 +187,19 @@ func TestMemoMissBuildsFromSibling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := NewMemoCache(0)
-	for _, cfg := range []accel.Config{accel.New("", 16, units.MB(3)), c} {
-		if err := mc.Profiles(cfg, kernels, dst); err != nil {
-			t.Fatal(err)
+	for _, siblings := range [][]accel.Config{
+		{accel.New("", 16, units.MB(3))},                                // shares the SRAM-independent half
+		{accel.New("", 8, units.MB(7))},                                 // shares the SRAM-dependent half
+		{accel.New("", 16, units.MB(3)), accel.New("", 8, units.MB(7))}, // shares both
+	} {
+		mc := NewMemoCache(0)
+		for _, cfg := range append(siblings, c) {
+			if err := mc.Profiles(cfg, kernels, dst); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if got := dst[0].Cost(c); got != want {
-		t.Fatalf("profile built from a sibling replays %+v, direct %+v", got, want)
+		if got := dst[0].Cost(c); got != want {
+			t.Fatalf("profile built from siblings %v replays %+v, direct %+v", siblings, got, want)
+		}
 	}
 }

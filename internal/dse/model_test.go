@@ -42,23 +42,29 @@ func TestGridModelsAxis(t *testing.T) {
 	}
 }
 
-// The zero-value Accounting must reproduce Evaluate bit for bit, and an
-// explicit ACT/Murphy selection must only add the Model label.
+// The default accounting (nil model, nil yield) must reproduce the direct
+// per-layer path bit for bit, and an explicit ACT/Murphy selection must only
+// add the Model label.
 func TestEvaluateWithZeroValueIsEvaluate(t *testing.T) {
 	task := paperTask(t, "AI (5 kernels)")
 	configs := accel.Grid()[:12]
 	proc := carbon.Process7nm()
+	ctx := context.Background()
 
-	base, err := Evaluate(task, configs, proc, carbon.FabCoal, 380)
+	base := &Space{}
+	for _, c := range configs {
+		pt, err := evalPointAcct(task, c, proc, carbon.FabCoal, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base.Points = append(base.Points, pt)
+	}
+	zero, err := Evaluate(ctx, task, configs, proc, carbon.FabCoal, 380, nil, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := EvaluateWith(task, configs, proc, carbon.FabCoal, 380, Accounting{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := EvaluateWith(task, configs, proc, carbon.FabCoal, 380,
-		Accounting{Model: carbon.ACTModel{}, Yield: carbon.MurphyYield{}})
+	explicit, err := Evaluate(ctx, task, configs, proc, carbon.FabCoal, 380,
+		carbon.ACTModel{}, StreamOptions{Yield: carbon.MurphyYield{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +92,12 @@ func TestEvaluateWithAlternativeBackend(t *testing.T) {
 	configs := accel.Grid()[:12]
 	proc := carbon.Process7nm()
 
-	base, err := Evaluate(task, configs, proc, carbon.FabCoal, 380)
+	ctx := context.Background()
+	base, err := Evaluate(ctx, task, configs, proc, carbon.FabCoal, 380, nil, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := EvaluateWith(task, configs, proc, carbon.FabCoal, 380, Accounting{Model: carbon.ChipletModel{}})
+	ch, err := Evaluate(ctx, task, configs, proc, carbon.FabCoal, 380, carbon.ChipletModel{}, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package dse
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sync"
 
 	"cordoba/internal/accel"
@@ -12,38 +14,8 @@ import (
 	"cordoba/internal/workload"
 )
 
-// evalPoint evaluates one configuration the way Evaluate does: task cost via
-// the direct simulator path, embodied carbon via the given process/fab.
-func evalPoint(task workload.Task, c accel.Config, p carbon.Process, fab carbon.Fab) (Point, error) {
-	return evalPointAcct(task, c, p, fab, Accounting{})
-}
-
-// evalPointAcct is evalPoint with an explicit embodied-carbon accounting. The
-// zero-value accounting routes through the default ACT/Murphy pipeline and is
-// bit-identical to the historical inline computation.
-func evalPointAcct(task workload.Task, c accel.Config, p carbon.Process, fab carbon.Fab, acct Accounting) (Point, error) {
-	cost, err := workload.Evaluate(task, c)
-	if err != nil {
-		return Point{}, err
-	}
-	emb, err := c.EmbodiedWith(acct.Model, acct.Yield, p, fab)
-	if err != nil {
-		return Point{}, err
-	}
-	pt := Point{
-		Config:   c,
-		Delay:    cost.Delay,
-		Energy:   cost.Energy,
-		Embodied: emb,
-		Area:     c.TotalArea(),
-	}
-	if acct.Model != nil {
-		pt.Model = acct.Model.Name()
-	}
-	return pt, nil
-}
-
-// StreamOptions tunes the streaming engine.
+// StreamOptions tunes every engine: the list evaluator, the streaming and
+// checkpointed grid walks, and the surrogate search.
 type StreamOptions struct {
 	// Workers is the evaluation fan-out; < 1 selects GOMAXPROCS.
 	Workers int
@@ -213,7 +185,7 @@ func (a *taskAcc) result(task workload.Task, ci units.CarbonIntensity) *StreamRe
 // replay's pricings and [cost class][kernel] table. One scratch serves any
 // number of shapes; nothing escapes it, so the whole inner loop is
 // allocation-free after warm-up. The batch buffers are sized on the first
-// evalShape, so a scratch that only serves sgEval never grows them.
+// evalShape, so a scratch that only serves pricePoint never grows them.
 type evalScratch struct {
 	kprof   []*accel.ShapeProfile // parallel to the kernel union
 	costs   []workload.KernelCost // one cell's kernel costs, parallel to the kernel union
@@ -227,12 +199,15 @@ type evalScratch struct {
 }
 
 func newEvalScratch(se *shapeEval) *evalScratch {
-	return &evalScratch{
-		kprof:   make([]*accel.ShapeProfile, len(se.kernels)),
-		costs:   make([]workload.KernelCost, len(se.kernels)),
-		embSeen: make([]bool, se.cg.embClasses),
-		emb:     make([]units.Carbon, se.cg.embClasses),
+	sc := &evalScratch{
+		kprof: make([]*accel.ShapeProfile, len(se.kernels)),
+		costs: make([]workload.KernelCost, len(se.kernels)),
 	}
+	if se.cg != nil {
+		sc.embSeen = make([]bool, se.cg.embClasses)
+		sc.emb = make([]units.Carbon, se.cg.embClasses)
+	}
+	return sc
 }
 
 // kernelUnion returns the kernels referenced by any task, in the canonical
@@ -280,8 +255,9 @@ func EvaluateStreamTasks(ctx context.Context, tasks []workload.Task, g Grid, fab
 }
 
 // shapeEval is one run's read-only evaluation context, shared by its
-// workers: the grid, the kernel union, and each task's call counts
-// resolved once against the union (workload.Task.Terms).
+// workers: the grid (nil for a configuration list), the kernel union, and
+// each task's call counts resolved once against the union
+// (workload.Task.Terms).
 type shapeEval struct {
 	cg      *compiledGrid
 	kernels []nn.KernelID
@@ -387,4 +363,87 @@ func (se *shapeEval) priceShape(shape accel.Config, sc *evalScratch) error {
 		}
 	}
 	return nil
+}
+
+// pricePoint prices one configuration for the run's first task. The
+// configuration's kernel profiles come from the memo (computed on first
+// use) and are replayed under it one at a time (accel.ShapeProfile.Cost,
+// the one-cell case of priceShape's batched replay), then folded through
+// the resolved task terms; embodied carbon comes from model and the run's
+// yield model under proc. Every value is bit-identical to the direct
+// per-layer path (evalPointAcct). The surrogate search and the list
+// evaluator price every point here. The caller must have validated cfg:
+// a memo hit skips the validation a miss performs.
+func (se *shapeEval) pricePoint(cfg accel.Config, model carbon.Model, modelName string, proc carbon.Process, sc *evalScratch) (Point, error) {
+	if err := se.memo.Profiles(cfg, se.kernels, sc.kprof); err != nil {
+		return Point{}, err
+	}
+	emb, err := cfg.EmbodiedWith(model, se.yield, proc, se.fab)
+	if err != nil {
+		return Point{}, err
+	}
+	terms := se.terms[0]
+	for _, tm := range terms {
+		sc.costs[tm.Slot] = sc.kprof[tm.Slot].Cost(cfg)
+	}
+	cost := workload.Fold(terms, sc.costs, cfg.LeakagePower())
+	return Point{
+		Config:   cfg,
+		Delay:    cost.Delay,
+		Energy:   cost.Energy,
+		Embodied: emb,
+		Area:     cfg.TotalArea(),
+		Model:    modelName,
+	}, nil
+}
+
+// evalBatch prices points 0..n-1 across workers goroutines (< 1 selects
+// GOMAXPROCS), each with its own scratch, and returns them in index order;
+// eval prices point i. Callers accumulate sequentially, so floating-point
+// order — and therefore every checkpoint — is independent of worker
+// scheduling. A cancelled ctx stops the batch with an error.
+func evalBatch(ctx context.Context, se *shapeEval, n, workers int, eval func(i int, sc *evalScratch) (Point, error)) ([]Point, error) {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	pts := make([]Point, n)
+	var (
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := newEvalScratch(se)
+			for i := range next {
+				if ctx.Err() != nil {
+					continue
+				}
+				pt, err := eval(i, sc)
+				if err != nil {
+					errOnce.Do(func() { firstErr = err })
+					continue
+				}
+				pts[i] = pt
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("dse: evaluation aborted: %w", err)
+	}
+	return pts, nil
 }

@@ -134,9 +134,9 @@ func TestGridKnobCellsScaleParams(t *testing.T) {
 
 func TestEvaluateGridMatchesEvaluate(t *testing.T) {
 	// The nominal Fig. 8 knob grid must evaluate bitwise-identically to the
-	// materialized accel.Grid through the v1 engine.
+	// materialized accel.Grid through the list evaluator.
 	task := paperTask(t, "All kernels")
-	want, err := EvaluateDefault(task, accel.Grid())
+	want, err := evalDefault(task, accel.Grid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestEvaluateGridMatchesEvaluate(t *testing.T) {
 	for i := range got.Points {
 		g, w := got.Points[i], want.Points[i]
 		if g.Delay != w.Delay || g.Energy != w.Energy || g.Embodied != w.Embodied || g.Area != w.Area {
-			t.Fatalf("point %d differs:\n grid %+v\n v1   %+v", i, g, w)
+			t.Fatalf("point %d differs:\n grid %+v\n list %+v", i, g, w)
 		}
 	}
 }

@@ -7,9 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"cordoba/internal/carbon"
 	"cordoba/internal/units"
@@ -665,85 +663,12 @@ func (m *sgRBF) predict(space *sgSpace, idx [sgAxes]int) (x, y float64) {
 
 // ---- evaluation ----
 
-// sgEval prices one grid point exactly like the exhaustive engine: the
-// shape's kernel profiles come from the shared memo (computed on first use)
-// and are replayed one cell at a time (accel.ShapeProfile.Cost, the
-// one-cell case of evalShape's batched replay), then folded through the
-// same resolved task terms, so a surrogate-evaluated point is bit-identical
-// to its exhaustive twin.
+// sgEval prices one grid point exactly like the exhaustive engine
+// (pricePoint), so a surrogate-evaluated point is bit-identical to its
+// exhaustive twin. Grid cells are valid by construction (compile).
 func sgEval(se *shapeEval, id int64, sc *evalScratch) (Point, error) {
-	cg := se.cg
-	si := int(id / int64(len(cg.cells)))
-	if err := se.memo.Profiles(cg.shapeConfig(si), se.kernels, sc.kprof); err != nil {
-		return Point{}, err
-	}
-	cfg, cell := cg.at(id)
-	emb, err := cfg.EmbodiedWith(cell.model, se.yield, cell.process, se.fab)
-	if err != nil {
-		return Point{}, err
-	}
-	terms := se.terms[0]
-	for _, tm := range terms {
-		sc.costs[tm.Slot] = sc.kprof[tm.Slot].Cost(cfg)
-	}
-	cost := workload.Fold(terms, sc.costs, cfg.LeakagePower())
-	return Point{
-		Config:   cfg,
-		Delay:    cost.Delay,
-		Energy:   cost.Energy,
-		Embodied: emb,
-		Area:     cfg.TotalArea(),
-		Model:    cell.modelName,
-	}, nil
-}
-
-// sgEvalBatch evaluates candidate ids in parallel and returns their points
-// in input order; callers accumulate sequentially so floating-point order —
-// and therefore every checkpoint — is independent of worker scheduling.
-func sgEvalBatch(ctx context.Context, se *shapeEval, ids []int64, workers int) ([]Point, error) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	pts := make([]Point, len(ids))
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newEvalScratch(se)
-			for i := range next {
-				if ctx.Err() != nil {
-					continue
-				}
-				pt, err := sgEval(se, ids[i], sc)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					continue
-				}
-				pts[i] = pt
-			}
-		}()
-	}
-	for i := range ids {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("dse: surrogate search aborted: %w", err)
-	}
-	return pts, nil
+	cfg, cell := se.cg.at(id)
+	return se.pricePoint(cfg, cell.model, cell.modelName, cell.process, sc)
 }
 
 // EvaluateSurrogate runs the surrogate-guided Pareto search over a knob grid
@@ -801,7 +726,9 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 	// evaluate prices a batch of unseen candidate ids (ascending) and folds
 	// them into the archive, the population, and the evaluated set.
 	evaluate := func(ids []int64, idxs [][sgAxes]int) error {
-		pts, err := sgEvalBatch(ctx, se, ids, opt.Workers)
+		pts, err := evalBatch(ctx, se, len(ids), opt.Workers, func(i int, sc *evalScratch) (Point, error) {
+			return sgEval(se, ids[i], sc)
+		})
 		if err != nil {
 			return err
 		}

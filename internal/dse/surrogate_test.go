@@ -115,7 +115,7 @@ func TestSurrogateEnvelopeIsEvaluatedSubset(t *testing.T) {
 		// Survivor payloads are bit-identical to a direct evaluation of the
 		// same grid index.
 		c, cell := cg.at(id)
-		want, err := evalPointAcct(task, c, cell.process, carbon.FabCoal, Accounting{Model: cell.model})
+		want, err := evalPointAcct(task, c, cell.process, carbon.FabCoal, cell.model, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

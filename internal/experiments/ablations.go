@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"cordoba/internal/accel"
-	"cordoba/internal/dse"
 	"cordoba/internal/lifecycle"
 	"cordoba/internal/table"
 	"cordoba/internal/units"
@@ -43,7 +42,7 @@ func ablate(setting string, mutate func(*accel.Params)) (AblationPoint, error) {
 	if err != nil {
 		return AblationPoint{}, err
 	}
-	s, err := dse.EvaluateDefault(task, grid)
+	s, err := explore(task, grid)
 	if err != nil {
 		return AblationPoint{}, err
 	}

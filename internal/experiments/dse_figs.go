@@ -1,17 +1,25 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
 
 	"cordoba/internal/accel"
+	"cordoba/internal/carbon"
 	"cordoba/internal/dse"
 	"cordoba/internal/nn"
 	"cordoba/internal/table"
 	"cordoba/internal/uncertainty"
 	"cordoba/internal/workload"
 )
+
+// explore evaluates configurations on a task at the paper's anchor: 7 nm,
+// coal-heavy fab, CI_use = 380 g/kWh.
+func explore(task workload.Task, configs []accel.Config) (*dse.Space, error) {
+	return dse.Evaluate(context.Background(), task, configs, carbon.Process7nm(), carbon.FabCoal, 380, nil, dse.StreamOptions{})
+}
 
 // taskSpaces lazily evaluates the 121-configuration grid on the five paper
 // tasks — the shared substrate of Figs. 7–9.
@@ -26,7 +34,7 @@ func taskSpaces() (map[string]*dse.Space, error) {
 		grid := accel.Grid()
 		spacesVal = map[string]*dse.Space{}
 		for _, task := range workload.PaperTasks() {
-			s, err := dse.EvaluateDefault(task, grid)
+			s, err := explore(task, grid)
 			if err != nil {
 				spacesErr = err
 				return
@@ -316,7 +324,7 @@ func SR512Task() workload.Task {
 
 // stackedSpace evaluates the seven §VI-E configurations on SR 512².
 func stackedSpace() (*dse.Space, error) {
-	return dse.EvaluateDefault(SR512Task(), accel.Stacked3D())
+	return explore(SR512Task(), accel.Stacked3D())
 }
 
 // embodiedShareAt returns the average embodied fraction of total carbon

@@ -8,7 +8,6 @@ import (
 	"cordoba/internal/accel"
 	"cordoba/internal/carbon"
 	"cordoba/internal/device"
-	"cordoba/internal/dse"
 	"cordoba/internal/table"
 	"cordoba/internal/units"
 	"cordoba/internal/workload"
@@ -228,7 +227,7 @@ func Figure7() (Figure7Result, error) {
 	if err != nil {
 		return Figure7Result{}, err
 	}
-	s, err := dse.EvaluateDefault(task, accel.Grid())
+	s, err := explore(task, accel.Grid())
 	if err != nil {
 		return Figure7Result{}, err
 	}

@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -201,7 +203,8 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	log := cfg.Logger
 	if log == nil {
-		log = slog.New(discardHandler{})
+		// A handler whose level no record reaches: logging is off.
+		log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
@@ -802,12 +805,3 @@ func newID() string {
 	}
 	return "j" + hex.EncodeToString(b[:])
 }
-
-// discardHandler is a no-op slog handler (slog.DiscardHandler arrived after
-// the Go version this module pins).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }

@@ -1,9 +1,11 @@
 package opt
 
 import (
+	"context"
 	"testing"
 
 	"cordoba/internal/accel"
+	"cordoba/internal/carbon"
 	"cordoba/internal/dse"
 	"cordoba/internal/metrics"
 	"cordoba/internal/workload"
@@ -15,7 +17,7 @@ func exploreXR5(t *testing.T) *dse.Space {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := dse.EvaluateDefault(task, accel.Grid())
+	s, err := dse.Evaluate(context.Background(), task, accel.Grid(), carbon.Process7nm(), carbon.FabCoal, 380, nil, dse.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

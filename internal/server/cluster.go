@@ -146,7 +146,7 @@ func (s *Server) runShardDSEJob(ctx context.Context, rc job.RunContext) (json.Ra
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ck.StreamOptions = cordoba.StreamOptions{Workers: s.pool.Workers(), Memo: s.memo, Yield: in.acct.Yield}
+	ck.StreamOptions = s.streamOptions(in)
 	res, err := cordoba.ExploreStreamCheckpointed(ctx, in.task, g, in.fab, cordoba.CarbonIntensity(in.req.CIUse), ck)
 	if err != nil {
 		if ctx.Err() != nil {

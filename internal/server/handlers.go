@@ -10,6 +10,7 @@ import (
 
 	"cordoba"
 	"cordoba/api"
+	"cordoba/internal/dse"
 )
 
 // decodeJSON strictly decodes the request body into v, bounding the read at
@@ -358,11 +359,12 @@ func (s *Server) dseSearchMode(req DSERequest, size int64) string {
 // dseInputs is a validated, resolved DSE request: everything the engines
 // need, shared between the synchronous handler and the async job runner.
 type dseInputs struct {
-	req  DSERequest
-	task cordoba.Task
-	proc cordoba.Process
-	fab  cordoba.Fab
-	acct cordoba.ExploreAccounting
+	req   DSERequest
+	task  cordoba.Task
+	proc  cordoba.Process
+	fab   cordoba.Fab
+	model cordoba.CarbonModel // nil: ACT
+	yield cordoba.YieldModel  // nil: Murphy
 }
 
 // resolveDSE validates a defaulted request and resolves its names (task,
@@ -387,7 +389,7 @@ func (s *Server) resolveDSE(req DSERequest) (dseInputs, error) {
 	if req.CITrace != "" {
 		// Resolve the named trace to its exact time-average intensity over
 		// the requested lifetime; the scalar then flows through both the
-		// materialized and streaming engines unchanged.
+		// list and knob-grid engines unchanged.
 		s.metrics.ObserveTraceLookup()
 		cum, ok := s.traces[req.CITrace]
 		if !ok {
@@ -407,11 +409,18 @@ func (s *Server) resolveDSE(req DSERequest) (dseInputs, error) {
 			"sweep needs 0 < lo <= hi and 1 <= points <= 10000, got lo=%g hi=%g points=%d",
 			req.Sweep.Lo, req.Sweep.Hi, req.Sweep.Points)
 	}
-	acct, err := s.resolveAccounting(req)
+	model, yield, err := resolveAccounting(req)
 	if err != nil {
 		return in, err
 	}
-	return dseInputs{req: req, task: task, proc: proc, fab: fab, acct: acct}, nil
+	return dseInputs{req: req, task: task, proc: proc, fab: fab, model: model, yield: yield}, nil
+}
+
+// streamOptions returns the engine options every evaluation path runs a
+// resolved request under: the pool's per-evaluation fan-out, the daemon's
+// shared shape-profile memo and the request's yield model.
+func (s *Server) streamOptions(in dseInputs) cordoba.StreamOptions {
+	return cordoba.StreamOptions{Workers: s.pool.Workers(), Memo: s.memo, Yield: in.yield}
 }
 
 func (s *Server) buildDSE(ctx context.Context, req DSERequest) (*DSEResponse, error) {
@@ -429,18 +438,21 @@ func (s *Server) buildDSE(ctx context.Context, req DSERequest) (*DSEResponse, er
 		}
 		return s.buildDSEStream(ctx, in, cordoba.CheckpointOptions{})
 	}
-	return s.buildDSEGrid(ctx, in)
+	return s.buildDSEList(ctx, in)
 }
 
-func (s *Server) buildDSEGrid(ctx context.Context, in dseInputs) (*DSEResponse, error) {
+// buildDSEList serves the set/configs form of POST /v1/dse: an explicit
+// configuration list priced through the daemon's shared memo. A dropped
+// client cancels ctx and aborts the evaluation.
+func (s *Server) buildDSEList(ctx context.Context, in dseInputs) (*DSEResponse, error) {
 	req, task, proc, fab := in.req, in.task, in.proc, in.fab
 	configs, err := s.resolveConfigs(req)
 	if err != nil {
 		return nil, err
 	}
 
-	// The grid evaluation is the expensive part; it runs under a pool slot
-	// so a burst of uncached requests queues instead of oversubscribing.
+	// The evaluation is the expensive part; it runs under a pool slot so a
+	// burst of uncached requests queues instead of oversubscribing.
 	if err := s.pool.Acquire(ctx); err != nil {
 		return nil, err
 	}
@@ -448,9 +460,12 @@ func (s *Server) buildDSEGrid(ctx context.Context, in dseInputs) (*DSEResponse, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	space, err := cordoba.ExploreParallelWith(task, configs, proc, fab,
-		cordoba.CarbonIntensity(req.CIUse), s.pool.Workers(), in.acct)
+	space, err := dse.Evaluate(ctx, task, configs, proc, fab,
+		cordoba.CarbonIntensity(req.CIUse), in.model, s.streamOptions(in))
 	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		return nil, errf(http.StatusBadRequest, "%v", err)
 	}
 	modelName := req.Model
@@ -486,26 +501,21 @@ func (s *Server) buildDSEGrid(ctx context.Context, in dseInputs) (*DSEResponse, 
 	return resp, nil
 }
 
-// resolveAccounting validates a request's model/yield selections into a dse
-// accounting; the zero value (empty fields) keeps the default ACT/Murphy
-// pipeline and leaves responses exactly as before the fields existed.
-func (s *Server) resolveAccounting(req DSERequest) (cordoba.ExploreAccounting, error) {
-	var acct cordoba.ExploreAccounting
+// resolveAccounting validates a request's model/yield selections; an empty
+// field resolves to nil, which keeps the default ACT/Murphy pipeline and
+// leaves responses exactly as before the fields existed.
+func resolveAccounting(req DSERequest) (model cordoba.CarbonModel, yield cordoba.YieldModel, err error) {
 	if req.Model != "" {
-		m, err := cordoba.CarbonModelByName(req.Model)
-		if err != nil {
-			return acct, errf(http.StatusBadRequest, "%v (see GET /v1/models)", err)
+		if model, err = cordoba.CarbonModelByName(req.Model); err != nil {
+			return nil, nil, errf(http.StatusBadRequest, "%v (see GET /v1/models)", err)
 		}
-		acct.Model = m
 	}
 	if req.Yield != "" {
-		ym, err := cordoba.YieldModelByName(req.Yield)
-		if err != nil {
-			return acct, errf(http.StatusBadRequest, "%v (see GET /v1/models)", err)
+		if yield, err = cordoba.YieldModelByName(req.Yield); err != nil {
+			return nil, nil, errf(http.StatusBadRequest, "%v (see GET /v1/models)", err)
 		}
-		acct.Yield = ym
 	}
-	return acct, nil
+	return model, yield, nil
 }
 
 // dsePoint renders one evaluated design for the response.
@@ -642,7 +652,7 @@ func (s *Server) buildDSEStream(ctx context.Context, in dseInputs, ck cordoba.Ch
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ck.StreamOptions = cordoba.StreamOptions{Workers: s.pool.Workers(), Memo: s.memo, Yield: in.acct.Yield}
+	ck.StreamOptions = s.streamOptions(in)
 	res, err := cordoba.ExploreStreamCheckpointed(ctx, task, g, fab, cordoba.CarbonIntensity(req.CIUse), ck)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -703,7 +713,7 @@ func (s *Server) buildDSESurrogate(ctx context.Context, in dseInputs, hooks surr
 		return nil, err
 	}
 	opt := cordoba.SurrogateOptions{
-		StreamOptions: cordoba.StreamOptions{Workers: s.pool.Workers(), Memo: s.memo, Yield: in.acct.Yield},
+		StreamOptions: s.streamOptions(in),
 		Budget:        s.cfg.SurrogateBudget,
 		Population:    s.cfg.SurrogatePopulation,
 		Resume:        hooks.resume,

@@ -118,15 +118,22 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
+	// Size the design space now, so an over-cap or out-of-range grid or an
+	// unknown config set or name is a 400, not a failed job. The size is
+	// the job's weight against the tenant's grid-points quota.
 	var gridSize int64
 	if req.Knobs != nil {
-		// Grid sizing and shard bounds are knobGrid's to judge; run it now
-		// so an over-cap or out-of-range request is a 400, not a failed job.
 		g, err := s.knobGrid(req, in.proc)
 		if err != nil {
 			return err
 		}
 		gridSize = g.Size()
+	} else {
+		configs, err := s.resolveConfigs(req)
+		if err != nil {
+			return err
+		}
+		gridSize = int64(len(configs))
 	}
 	kind := jobKindDSE
 	switch {
@@ -494,7 +501,7 @@ func (s *Server) runDSEJob(ctx context.Context, rc job.RunContext) (json.RawMess
 	if in.req.Knobs == nil {
 		// Materialized spaces evaluate in one shot; no intermediate state
 		// worth persisting.
-		resp, err = s.buildDSEGrid(ctx, in)
+		resp, err = s.buildDSEList(ctx, in)
 	} else {
 		ck := cordoba.CheckpointOptions{Every: s.cfg.CheckpointEvery}
 		if cp := rc.Checkpoint(); len(cp) > 0 {

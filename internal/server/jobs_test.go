@@ -116,6 +116,43 @@ func TestJobSubmitInvalid(t *testing.T) {
 	}
 }
 
+// TestJobSubmitListBodies: set/configs bodies are resolved at submission —
+// an unknown set or config name answers the synchronous endpoint's 400, and
+// the list's length weighs against the tenant's grid-points quota.
+func TestJobSubmitListBodies(t *testing.T) {
+	file := writeTenantFile(t, `{"tenants":[{"name":"acme","key":"acme-key","max_grid_points":100}]}`)
+	s := newTestServer(t, Config{TenantFile: file})
+	for _, body := range []string{
+		`{"task":"All kernels","configs":["no-such-config"]}`,
+		`{"task":"All kernels","set":"bogus"}`,
+	} {
+		sync := doAuth(t, s, "POST", "/v1/dse", body, "acme-key")
+		w := doAuth(t, s, "POST", "/v1/jobs", body, "acme-key")
+		if sync.Code != http.StatusBadRequest || w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: sync = %d, submit = %d, want 400 for both (body %s)", body, sync.Code, w.Code, w.Body)
+		}
+		if got, want := decodeBody[errEnvelope](t, w).Error.Message, decodeBody[errEnvelope](t, sync).Error.Message; got != want {
+			t.Fatalf("%s: submit message %q, want the sync endpoint's %q", body, got, want)
+		}
+	}
+	if list := decodeBody[api.JobList](t, doAuth(t, s, "GET", "/v1/jobs", "", "acme-key")); len(list.Jobs) != 0 {
+		t.Fatalf("invalid list submissions created jobs: %+v", list)
+	}
+
+	// The 7-configuration set fits the quota; the 121-configuration grid
+	// does not.
+	if w := doAuth(t, s, "POST", "/v1/jobs", `{"task":"All kernels","set":"3d"}`, "acme-key"); w.Code != http.StatusAccepted {
+		t.Fatalf("3d set submit = %d, want 202 (body %s)", w.Code, w.Body)
+	}
+	w := doAuth(t, s, "POST", "/v1/jobs", `{"task":"All kernels","set":"grid"}`, "acme-key")
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("121-point grid submit = %d, want 429 (body %s)", w.Code, w.Body)
+	}
+	if env := decodeBody[errEnvelope](t, w); env.Error.Code != "quota_exceeded" {
+		t.Fatalf("code = %q, want quota_exceeded", env.Error.Code)
+	}
+}
+
 // TestJobQueueFull: with one worker busy and the queue at depth, the next
 // submission is rejected with 429, a queue_full code, and a Retry-After hint.
 func TestJobQueueFull(t *testing.T) {

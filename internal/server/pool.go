@@ -6,8 +6,8 @@ import (
 )
 
 // Pool bounds the number of design-space evaluations running at once. Each
-// admitted evaluation internally fans its per-configuration simulations out
-// across EvalWorkers goroutines (dse.EvaluateParallel), so the pool caps
+// admitted evaluation fans its work out across EvalWorkers goroutines (the
+// StreamOptions.Workers of every dse engine), so the pool caps
 // total evaluation goroutines at roughly Size × EvalWorkers; defaults keep
 // that near GOMAXPROCS so a burst of /v1/dse requests queues instead of
 // thrashing the scheduler. Waiters are admitted context-aware, so a caller
@@ -20,7 +20,7 @@ type Pool struct {
 
 // DefaultPoolSize is the default number of concurrently admitted
 // evaluations. The BenchmarkEvaluateParallel sweep (bench_test.go) shows
-// per-evaluation speedup flattening past ~4 workers on the 121-point grid,
+// per-evaluation speedup on the 121-point grid bounded by the core count,
 // so the default splits GOMAXPROCS into a few moderately parallel
 // evaluations rather than one maximally parallel one.
 func DefaultPoolSize() int {

@@ -4,8 +4,9 @@
 //
 // Production plumbing around the handlers:
 //
-//   - a bounded worker pool sized from GOMAXPROCS admits grid evaluations
-//     (dse.EvaluateParallel) so request bursts queue instead of thrashing;
+//   - a bounded worker pool sized from GOMAXPROCS admits evaluations (each
+//     fanned out over StreamOptions.Workers) so request bursts queue
+//     instead of thrashing;
 //   - an in-memory LRU caches rendered responses keyed by a canonical hash
 //     of the decoded request — DSE results are deterministic, so a hit
 //     skips the whole evaluation and replays byte-identical JSON;

@@ -131,7 +131,7 @@ func TestDSEMatchesLibrary(t *testing.T) {
 		}
 		configs = append(configs, c)
 	}
-	space, err := cordoba.ExploreAt(task, configs, cordoba.Process7nm(), cordoba.FabCoal, 380)
+	space, err := cordoba.ExploreParallelAt(task, configs, cordoba.Process7nm(), cordoba.FabCoal, 380, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ const knobBody = `{"task":"All kernels","fab":"taiwan","ci_use":200,` +
 	`"sweep":{"lo":1,"hi":1e10,"points":7}}`
 
 // TestDSEKnobsMatchesNaiveGrid holds the knob-range streaming path of
-// POST /v1/dse equal to materializing the same grid through the v1 engine.
+// POST /v1/dse equal to materializing the same grid through the direct per-layer path.
 func TestDSEKnobsMatchesNaiveGrid(t *testing.T) {
 	s := newTestServer(t, Config{})
 	w := do(t, s, "POST", "/v1/dse", knobBody)

@@ -1,17 +1,25 @@
 package uncertainty
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"cordoba/internal/accel"
+	"cordoba/internal/carbon"
 	"cordoba/internal/dse"
 	"cordoba/internal/grid"
 	"cordoba/internal/nn"
 	"cordoba/internal/units"
 	"cordoba/internal/workload"
 )
+
+// evalDefault evaluates configs at the paper's anchor (7 nm, coal-heavy
+// fab, CI_use = 380 g/kWh).
+func evalDefault(task workload.Task, configs []accel.Config) (*dse.Space, error) {
+	return dse.Evaluate(context.Background(), task, configs, carbon.Process7nm(), carbon.FabCoal, 380, nil, dse.StreamOptions{})
+}
 
 // fourDesigns is a hand-built space with a known envelope: d0 (min C_emb·D),
 // d2 (min E·D), d1 on the envelope between them, d3 dominated.
@@ -181,7 +189,7 @@ func TestOptimalUnderAnyTraceIsSurvivor(t *testing.T) {
 // are a small subset of 2K-MAC stacked designs.
 func TestFig12StackedSurvivors(t *testing.T) {
 	task := workload.Task{Name: "SR512", Calls: map[nn.KernelID]float64{nn.SR512: 1}}
-	space, err := dse.EvaluateDefault(task, accel.Stacked3D())
+	space, err := evalDefault(task, accel.Stacked3D())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +295,7 @@ func TestMonteCarloValidation(t *testing.T) {
 
 func TestFromDSE(t *testing.T) {
 	task, _ := workload.PaperTask(workload.TaskAI5)
-	space, err := dse.EvaluateDefault(task, accel.Grid()[:5])
+	space, err := evalDefault(task, accel.Grid()[:5])
 	if err != nil {
 		t.Fatal(err)
 	}
