@@ -681,3 +681,69 @@ func TestClusterEndToEnd(t *testing.T) {
 			env.First, env.Count, env.PointsStreamed, 2*cells)
 	}
 }
+
+// TestClusterTraceJobMatchesStandalone pins what a sharded run reproduces
+// of a standalone one, on a ci_trace request: the points, ever-optimal set,
+// sweep optima, counters and every echoed request field exactly, and each
+// sweep entry's mean_tcdp_gs to a relative 1e-12 (the shard sums
+// re-associate floating-point additions). It also guards the coordinator's
+// forwarding: workers receive the unresolved body, so they resolve the trace
+// themselves rather than rejecting ci_trace next to a resolved ci_use.
+func TestClusterTraceJobMatchesStandalone(t *testing.T) {
+	workers := workerURLs(t, 2, server.Config{Role: "worker"})
+	coordSrv := server.New(server.Config{
+		Role:           "coordinator",
+		ClusterWorkers: workers,
+		HeartbeatEvery: 50 * time.Millisecond,
+		Logger:         quietLogger(),
+	})
+	ts := httptest.NewServer(coordSrv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		_ = coordSrv.Close()
+	})
+	ctx := context.Background()
+
+	req := reqFor(smallKnobs())
+	req.CIUse = 0
+	req.CITrace = "california-duck"
+	standalone := client.New(newWorker(t, server.Config{}).URL)
+	want, err := standalone.DSE(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	req.Shards = 3
+	cli := client.New(ts.URL, client.WithPollInterval(10*time.Millisecond))
+	st, err := cli.SubmitJob(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := cli.WaitJob(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != api.JobSucceeded {
+		t.Fatalf("job ended %q: %s", fin.State, fin.Error)
+	}
+	got, err := cli.JobResult(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if got.CITrace != "california-duck" || got.CIUse <= 0 || got.CIUse == 380 {
+		t.Fatalf("response ci_trace %q ci_use %g, want the trace's average intensity", got.CITrace, got.CIUse)
+	}
+	if len(got.Sweep) != len(want.Sweep) {
+		t.Fatalf("sweep lengths differ: %d vs %d", len(got.Sweep), len(want.Sweep))
+	}
+	for i := range got.Sweep {
+		if !closeRel(got.Sweep[i].MeanTCDPGS, want.Sweep[i].MeanTCDPGS) {
+			t.Fatalf("sweep[%d] mean_tcdp_gs %g vs %g", i, got.Sweep[i].MeanTCDPGS, want.Sweep[i].MeanTCDPGS)
+		}
+		got.Sweep[i].MeanTCDPGS, want.Sweep[i].MeanTCDPGS = 0, 0
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sharded response differs from standalone beyond the means:\ngot:  %+v\nwant: %+v", got, want)
+	}
+}

@@ -55,18 +55,41 @@ func fuzzPost(t *testing.T, path string, body []byte) {
 	}
 }
 
+// dseRequestSeeds seeds FuzzDSERequest.
+var dseRequestSeeds = []string{
+	`{"task":"All kernels","configs":["a1","a12"]}`,
+	`{"task":"AI (5 kernels)","set":"3d","ci_use":200,"sweep":{"lo":1,"hi":1e10,"points":5}}`,
+	`{"task":"All kernels","knobs":{"mac_arrays":[1,8],"sram_mb":[2],"vdd_scales":[0.9],"nodes":["7nm","5nm"]}}`,
+	`{"task":"All kernels","knobs":{"mac_arrays":[-1],"sram_mb":[1e308]}}`,
+	`{"task":`,
+	`null`,
+	``,
+	`{"task":"All kernels"} trailing`,
+}
+
 func FuzzDSERequest(f *testing.F) {
-	f.Add([]byte(`{"task":"All kernels","configs":["a1","a12"]}`))
-	f.Add([]byte(`{"task":"AI (5 kernels)","set":"3d","ci_use":200,"sweep":{"lo":1,"hi":1e10,"points":5}}`))
-	f.Add([]byte(`{"task":"All kernels","knobs":{"mac_arrays":[1,8],"sram_mb":[2],"vdd_scales":[0.9],"nodes":["7nm","5nm"]}}`))
-	f.Add([]byte(`{"task":"All kernels","knobs":{"mac_arrays":[-1],"sram_mb":[1e308]}}`))
-	f.Add([]byte(`{"task":`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(``))
-	f.Add([]byte(`{"task":"All kernels"} trailing`))
+	for _, body := range dseRequestSeeds {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzPost(t, "/v1/dse", body)
 	})
+}
+
+const surrogateSeedKnobs = `"knobs":{"mac_arrays":[1,4],"sram_mb":[2,8]}`
+
+// surrogateRequestSeeds seeds FuzzSurrogateRequest.
+var surrogateRequestSeeds = []string{
+	`{"task":"All kernels","search":"surrogate",` + surrogateSeedKnobs + `,"surrogate":{"seed":7,"budget":8,"population":4}}`,
+	`{"task":"All kernels","search":"auto",` + surrogateSeedKnobs + `}`,
+	`{"task":"All kernels","search":"genetic",` + surrogateSeedKnobs + `}`,
+	`{"task":"All kernels","search":"surrogate","configs":["a1"]}`,
+	`{"task":"All kernels",` + surrogateSeedKnobs + `,"surrogate":{"budget":-1}}`,
+	`{"task":"All kernels",` + surrogateSeedKnobs + `,"surrogate":{"budget":9223372036854775807}}`,
+	`{"task":"All kernels",` + surrogateSeedKnobs + `,"surrogate":{"seed":-1}}`,
+	`{"task":"All kernels",` + surrogateSeedKnobs + `,"surrogate":{"population":65536,"generations":-3}}`,
+	`{"task":"All kernels",` + surrogateSeedKnobs + `,"surrogate":{"oracle":true},"shards":2}`,
+	`{"task":"All kernels","search":"surrogate",` + surrogateSeedKnobs + `,"surrogate":{`,
 }
 
 // FuzzSurrogateRequest drives the surrogate-search fields through the full
@@ -75,20 +98,29 @@ func FuzzDSERequest(f *testing.F) {
 // fuzz server's 64-point cap bounds both the grid walk and the clamped
 // budget of any execution).
 func FuzzSurrogateRequest(f *testing.F) {
-	knobs := `"knobs":{"mac_arrays":[1,4],"sram_mb":[2,8]}`
-	f.Add([]byte(`{"task":"All kernels","search":"surrogate",` + knobs + `,"surrogate":{"seed":7,"budget":8,"population":4}}`))
-	f.Add([]byte(`{"task":"All kernels","search":"auto",` + knobs + `}`))
-	f.Add([]byte(`{"task":"All kernels","search":"genetic",` + knobs + `}`))
-	f.Add([]byte(`{"task":"All kernels","search":"surrogate","configs":["a1"]}`))
-	f.Add([]byte(`{"task":"All kernels",` + knobs + `,"surrogate":{"budget":-1}}`))
-	f.Add([]byte(`{"task":"All kernels",` + knobs + `,"surrogate":{"budget":9223372036854775807}}`))
-	f.Add([]byte(`{"task":"All kernels",` + knobs + `,"surrogate":{"seed":-1}}`))
-	f.Add([]byte(`{"task":"All kernels",` + knobs + `,"surrogate":{"population":65536,"generations":-3}}`))
-	f.Add([]byte(`{"task":"All kernels",` + knobs + `,"surrogate":{"oracle":true},"shards":2}`))
-	f.Add([]byte(`{"task":"All kernels","search":"surrogate",` + knobs + `,"surrogate":{`))
+	for _, body := range surrogateRequestSeeds {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzPost(t, "/v1/dse", body)
 	})
+}
+
+const partitionSeedKnobs = `"mac_arrays":[1,2],"sram_mb":[1,2]`
+
+// partitionSpecSeeds seeds FuzzPartitionSpec.
+var partitionSpecSeeds = []string{
+	`{"task":"All kernels","knobs":{` + partitionSeedKnobs + `,"partition":{"integrations":["monolithic","2.5d"],"chiplets":[2,4],"chiplet_nodes":["14nm"],"carrier":"rdl-fanout"}}}`,
+	`{"task":"All kernels","knobs":{` + partitionSeedKnobs + `,"partition":{"integrations":["3d"],"chiplets":[64],"carrier":"emib"}}}`,
+	`{"task":"All kernels","knobs":{` + partitionSeedKnobs + `,"partition":{"integrations":["2.5d","2.5d"]}}}`,
+	`{"task":"All kernels","knobs":{` + partitionSeedKnobs + `,"partition":{"integrations":["5d"]}}}`,
+	`{"task":"All kernels","knobs":{` + partitionSeedKnobs + `,"partition":{"integrations":["3d"],"chiplet_nodes":["6nm"]}}}`,
+	`{"task":"All kernels","knobs":{` + partitionSeedKnobs + `,"partition":{"integrations":["2.5d"],"carrier":"glass"}}}`,
+	`{"task":"All kernels","knobs":{` + partitionSeedKnobs + `,"partition":{"chiplets":[4]}}}`,
+	`{"task":"All kernels","knobs":{` + partitionSeedKnobs + `,"partition":{"integrations":["3d"],"chiplets":[-1,9223372036854775807]}}}`,
+	`{"task":"All kernels","knobs":{` + partitionSeedKnobs + `,"models":["act"],"partition":{"integrations":["2.5d"]}}}`,
+	`{"task":"All kernels","knobs":{` + partitionSeedKnobs + `,"partition":{"integrations":[`,
+	`{"task":"All kernels","knobs":{` + partitionSeedKnobs + `,"partition":null}}`,
 }
 
 // FuzzPartitionSpec drives the partition knob axes through the full stack.
@@ -99,18 +131,9 @@ func FuzzSurrogateRequest(f *testing.F) {
 // bounded by the fuzz server's 64-point grid cap. Seed corpus lives in
 // testdata/fuzz/FuzzPartitionSpec.
 func FuzzPartitionSpec(f *testing.F) {
-	knobs := `"mac_arrays":[1,2],"sram_mb":[1,2]`
-	f.Add([]byte(`{"task":"All kernels","knobs":{` + knobs + `,"partition":{"integrations":["monolithic","2.5d"],"chiplets":[2,4],"chiplet_nodes":["14nm"],"carrier":"rdl-fanout"}}}`))
-	f.Add([]byte(`{"task":"All kernels","knobs":{` + knobs + `,"partition":{"integrations":["3d"],"chiplets":[64],"carrier":"emib"}}}`))
-	f.Add([]byte(`{"task":"All kernels","knobs":{` + knobs + `,"partition":{"integrations":["2.5d","2.5d"]}}}`))
-	f.Add([]byte(`{"task":"All kernels","knobs":{` + knobs + `,"partition":{"integrations":["5d"]}}}`))
-	f.Add([]byte(`{"task":"All kernels","knobs":{` + knobs + `,"partition":{"integrations":["3d"],"chiplet_nodes":["6nm"]}}}`))
-	f.Add([]byte(`{"task":"All kernels","knobs":{` + knobs + `,"partition":{"integrations":["2.5d"],"carrier":"glass"}}}`))
-	f.Add([]byte(`{"task":"All kernels","knobs":{` + knobs + `,"partition":{"chiplets":[4]}}}`))
-	f.Add([]byte(`{"task":"All kernels","knobs":{` + knobs + `,"partition":{"integrations":["3d"],"chiplets":[-1,9223372036854775807]}}}`))
-	f.Add([]byte(`{"task":"All kernels","knobs":{` + knobs + `,"models":["act"],"partition":{"integrations":["2.5d"]}}}`))
-	f.Add([]byte(`{"task":"All kernels","knobs":{` + knobs + `,"partition":{"integrations":[`))
-	f.Add([]byte(`{"task":"All kernels","knobs":{` + knobs + `,"partition":null}}`))
+	for _, body := range partitionSpecSeeds {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzPost(t, "/v1/dse", body)
 	})
