@@ -2,8 +2,9 @@
 // fleet of cordobad workers. A coordinator splits the grid's shape-major
 // enumeration into contiguous shape shards, fans them out as dse-shard jobs
 // over the typed client package, and merges the returned survivor envelopes
-// with the associative Pareto-envelope merge into a result identical to a
-// single-node run.
+// with the associative Pareto-envelope merge into a single-node run's result:
+// the same survivors and counters, the floating-point sums equal up to
+// re-association.
 //
 // The subsystem leans on two properties the engine already guarantees:
 //

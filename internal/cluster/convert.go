@@ -50,7 +50,7 @@ func EnvelopeFromResult(first, count int, r *dse.StreamResult) api.ShardEnvelope
 // StreamResult from the wire form. All units are identity float64 wrappers
 // over their canonical units (seconds, joules, grams, cm²) and SRAM sizes
 // scale by an exact power of two, so the reconstruction is bit-exact and the
-// merged result renders byte-identically to a single-node run.
+// merged survivors render byte-identically to a single-node run's.
 func ResultFromEnvelope(env api.ShardEnvelope, task workload.Task, ci units.CarbonIntensity) (*dse.StreamResult, error) {
 	if env.Task != task.Name {
 		return nil, fmt.Errorf("cluster: envelope ran task %q, coordinator expected %q", env.Task, task.Name)

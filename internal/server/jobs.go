@@ -17,8 +17,9 @@ import (
 	"cordoba/internal/job"
 )
 
-// The daemon's job kinds. The job manager itself is kind-agnostic; POST
-// /v1/jobs picks the kind from the request's shard fields.
+// The daemon's job kinds, each naming the engine a DSE job runs on. The job
+// manager itself is kind-agnostic; planDSE picks the kind at submission and
+// a job runs under the kind it recorded.
 const (
 	// jobKindDSE is an asynchronous POST /v1/dse body run locally.
 	jobKindDSE = "dse"
@@ -37,7 +38,7 @@ const (
 )
 
 // initJobs assembles the async job subsystem: the bounded manager with the
-// DSE runner registered, plus the cordobad_jobs_* metrics reporter. The
+// DSE runner registered under every DSE kind, plus the cordobad_jobs_* metrics reporter. The
 // checkpoint store behind it is pluggable: "dir" files jobs by ID, "cas"
 // files them by content hash so any daemon sharing the directory can adopt
 // another's orphaned checkpoints.
@@ -68,10 +69,9 @@ func (s *Server) initJobs() {
 	if err != nil {
 		panic(err)
 	}
-	m.SetRunner(jobKindDSE, s.runDSEJob)
-	m.SetRunner(jobKindShardDSE, s.runShardDSEJob)
-	m.SetRunner(jobKindClusterDSE, s.runClusterDSEJob)
-	m.SetRunner(jobKindSurrogateDSE, s.runSurrogateDSEJob)
+	for _, kind := range []string{jobKindDSE, jobKindShardDSE, jobKindClusterDSE, jobKindSurrogateDSE} {
+		m.SetRunner(kind, s.dseRunner(kind))
+	}
 	for kind, r := range s.cfg.Runners {
 		m.SetRunner(kind, r)
 	}
@@ -108,46 +108,17 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 		return errc(http.StatusBadRequest, api.CodePriorityInvalid,
 			"unknown priority %q (want interactive, batch, or deferrable)", req.Priority)
 	}
-	// Validate and normalize at submission so a bad body fails with a 400
-	// now, not as a failed job the client has to poll to discover.
+	// Validate, resolve and size at submission, so a bad body, an over-cap
+	// or out-of-range grid, or an unknown name is a 400 now, not a failed
+	// job the client has to poll to discover. The plan's points are the
+	// job's weight against the tenant's grid-points quota.
 	req, err := defaultDSE(req)
 	if err != nil {
 		return err
 	}
-	in, err := s.resolveDSE(req)
+	p, err := s.planDSE(req, "")
 	if err != nil {
 		return err
-	}
-	// Size the design space now, so an over-cap or out-of-range grid or an
-	// unknown config set or name is a 400, not a failed job. The size is
-	// the job's weight against the tenant's grid-points quota.
-	var gridSize int64
-	if req.Knobs != nil {
-		g, err := s.knobGrid(req, in.proc)
-		if err != nil {
-			return err
-		}
-		gridSize = g.Size()
-	} else {
-		configs, err := s.resolveConfigs(req)
-		if err != nil {
-			return err
-		}
-		gridSize = int64(len(configs))
-	}
-	kind := jobKindDSE
-	switch {
-	case req.Shard != nil:
-		kind = jobKindShardDSE
-	case req.Shards > 0:
-		if s.cluster == nil {
-			return errf(http.StatusBadRequest,
-				"shards needs a coordinator; this daemon runs role %q (start it with -role coordinator -workers ...)",
-				s.cfg.Role)
-		}
-		kind = jobKindClusterDSE
-	case req.Knobs != nil && s.dseSearchMode(req, gridSize) == searchSurrogate:
-		kind = jobKindSurrogateDSE
 	}
 	raw, err := json.Marshal(req)
 	if err != nil {
@@ -155,7 +126,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	}
 	tn := s.requestTenant(r)
 	sub := job.Submission{
-		Kind:    kind,
+		Kind:    p.kind,
 		Request: raw,
 		Tenant:  tn.OwnerName(),
 		Limits: job.Limits{
@@ -164,7 +135,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 			MaxPoints: tn.MaxGridPoints,
 		},
 		Priority: req.Priority,
-		Points:   gridSize,
+		Points:   p.points,
 	}
 	if req.Priority == api.PriorityDeferrable {
 		notBefore, avoided, err := s.planDeferral(req)
@@ -477,120 +448,4 @@ func jobStatusWire(st job.Status) api.JobStatus {
 		}
 	}
 	return out
-}
-
-// ---- the DSE job runner ----
-
-// runDSEJob executes one queued DSE request under the job's context. Knob
-// (streaming) requests checkpoint every cfg.CheckpointEvery shapes and
-// resume from the last checkpoint after a crash or redeploy; the ordered
-// engine makes the resumed run bit-identical to an uninterrupted one. The
-// result bytes are rendered with the synchronous endpoint's marshaler so
-// GET /v1/jobs/{id}/result matches POST /v1/dse exactly.
-func (s *Server) runDSEJob(ctx context.Context, rc job.RunContext) (json.RawMessage, error) {
-	var req DSERequest
-	if err := json.Unmarshal(rc.Request(), &req); err != nil {
-		return nil, err
-	}
-	in, err := s.resolveDSE(req)
-	if err != nil {
-		return nil, err
-	}
-
-	var resp *DSEResponse
-	if in.req.Knobs == nil {
-		// Materialized spaces evaluate in one shot; no intermediate state
-		// worth persisting.
-		resp, err = s.buildDSEList(ctx, in)
-	} else {
-		ck := cordoba.CheckpointOptions{Every: s.cfg.CheckpointEvery}
-		if cp := rc.Checkpoint(); len(cp) > 0 {
-			var st cordoba.StreamCheckpoint
-			if err := json.Unmarshal(cp, &st); err != nil {
-				return nil, err
-			}
-			ck.Resume = &st
-		}
-		ck.OnCheckpoint = func(st *cordoba.StreamCheckpoint) error {
-			b, err := json.Marshal(st)
-			if err != nil {
-				return err
-			}
-			return rc.SaveCheckpoint(b)
-		}
-		g, gerr := s.knobGrid(in.req, in.proc)
-		if gerr != nil {
-			return nil, gerr
-		}
-		gridPoints := g.Size()
-		ck.OnProgress = func(p cordoba.StreamProgress) {
-			rc.ReportProgress(job.Progress{
-				GridPoints:  gridPoints,
-				Streamed:    p.Streamed,
-				Pruned:      p.Pruned,
-				Kept:        p.Kept,
-				ShapesDone:  p.ShapesDone,
-				ShapesTotal: p.ShapesTotal,
-			})
-		}
-		resp, err = s.buildDSEStream(ctx, in, ck)
-	}
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.MarshalIndent(resp, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// runSurrogateDSEJob executes one queued surrogate-search request. The
-// search checkpoints every cfg.CheckpointEvery generations (archive +
-// generation counter + RNG state) and resumes byte-identically after a crash
-// or redeploy; the result bytes match the synchronous POST /v1/dse form.
-func (s *Server) runSurrogateDSEJob(ctx context.Context, rc job.RunContext) (json.RawMessage, error) {
-	var req DSERequest
-	if err := json.Unmarshal(rc.Request(), &req); err != nil {
-		return nil, err
-	}
-	in, err := s.resolveDSE(req)
-	if err != nil {
-		return nil, err
-	}
-
-	hooks := surrogateRunHooks{every: s.cfg.CheckpointEvery}
-	if cp := rc.Checkpoint(); len(cp) > 0 {
-		var st cordoba.SurrogateCheckpoint
-		if err := json.Unmarshal(cp, &st); err != nil {
-			return nil, err
-		}
-		hooks.resume = &st
-	}
-	hooks.onCheckpoint = func(st *cordoba.SurrogateCheckpoint) error {
-		b, err := json.Marshal(st)
-		if err != nil {
-			return err
-		}
-		return rc.SaveCheckpoint(b)
-	}
-	hooks.onProgress = func(p cordoba.SurrogateProgress) {
-		rc.ReportProgress(job.Progress{
-			GridPoints:  p.GridPoints,
-			Streamed:    p.Evals,
-			Kept:        p.Kept,
-			Generation:  p.Generation,
-			EvalsUsed:   p.Evals,
-			EvalsBudget: p.Budget,
-		})
-	}
-	resp, err := s.buildDSESurrogate(ctx, in, hooks)
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.MarshalIndent(resp, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }

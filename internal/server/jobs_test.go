@@ -306,7 +306,7 @@ func TestJobCrashResume(t *testing.T) {
 	s1 := newTestServer(t, Config{JobDir: dir, JobWorkers: 1, CheckpointEvery: 1})
 	hit := make(chan struct{})
 	s1.Jobs().SetRunner("dse", func(ctx context.Context, rc job.RunContext) (json.RawMessage, error) {
-		return s1.runDSEJob(ctx, &interruptAfterRC{RunContext: rc, ctx: ctx, after: 2, hit: hit})
+		return s1.dseRunner(jobKindDSE)(ctx, &interruptAfterRC{RunContext: rc, ctx: ctx, after: 2, hit: hit})
 	})
 
 	st := submitJob(t, s1, jobsBody)

@@ -149,12 +149,6 @@ func (m *Metrics) ObserveDSESurrogate(evals, skipped, generations int64) {
 	m.surrogateGenerations.Add(generations)
 }
 
-// DSESurrogateCounts returns the (runs, evals, skipped, generations) totals.
-func (m *Metrics) DSESurrogateCounts() (runs, evals, skipped, generations int64) {
-	return m.surrogateRuns.Load(), m.surrogateEvals.Load(),
-		m.surrogateSkipped.Load(), m.surrogateGenerations.Load()
-}
-
 // ObserveModelEvals records n design evaluations priced by the named
 // embodied-carbon backend ("act", "chiplet", "stacked-3d").
 func (m *Metrics) ObserveModelEvals(model string, n int64) {

@@ -217,6 +217,19 @@ func writeError(w *statusRecorder, err error) {
 // rendered to a buffer first so a marshal failure can still produce a clean
 // error envelope, and so callers can cache the exact bytes.
 func writeJSON(w http.ResponseWriter, status int, v any) ([]byte, error) {
+	b, err := encodeJSON(v)
+	if err != nil {
+		return nil, err
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, err = w.Write(b)
+	return b, err
+}
+
+// encodeJSON renders v in the wire form every JSON response and stored job
+// result shares: indented, newline-terminated.
+func encodeJSON(v any) ([]byte, error) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		// A NaN or ±Inf in a response means the request's parameters
@@ -229,9 +242,5 @@ func writeJSON(w http.ResponseWriter, status int, v any) ([]byte, error) {
 		}
 		return nil, err
 	}
-	b = append(b, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, err = w.Write(b)
-	return b, err
+	return append(b, '\n'), nil
 }

@@ -219,7 +219,7 @@ func TestSurrogateJobCrashResume(t *testing.T) {
 	s1 := newTestServer(t, Config{JobDir: dir, JobWorkers: 1, CheckpointEvery: 1})
 	hit := make(chan struct{})
 	s1.Jobs().SetRunner("dse-surrogate", func(ctx context.Context, rc job.RunContext) (json.RawMessage, error) {
-		return s1.runSurrogateDSEJob(ctx, &interruptAfterRC{RunContext: rc, ctx: ctx, after: 2, hit: hit})
+		return s1.dseRunner(jobKindSurrogateDSE)(ctx, &interruptAfterRC{RunContext: rc, ctx: ctx, after: 2, hit: hit})
 	})
 
 	st := submitJob(t, s1, surrBody)

@@ -179,6 +179,31 @@ func TestQuotaGridPoints(t *testing.T) {
 	}
 }
 
+// TestQuotaGridPointsShard: a shard job weighs its own share of the grid
+// against max_grid_points — the points the worker evaluates — not the whole
+// grid it was cut from.
+func TestQuotaGridPointsShard(t *testing.T) {
+	file := writeTenantFile(t, `{"allow_anonymous":true,"anonymous":{"max_grid_points":5},
+		"tenants":[{"name":"acme","key":"acme-key"}]}`)
+	s := newTestServer(t, Config{TenantFile: file})
+
+	// One shape of jobsBody's 12-point grid is 2 points: inside the quota.
+	st := submitJob(t, s, shardBody(`,"shard":{"first":0,"count":1}`))
+	if st.Kind != "dse-shard" {
+		t.Fatalf("kind = %q, want dse-shard", st.Kind)
+	}
+	waitJobState(t, s, st.ID, api.JobSucceeded)
+
+	// Three shapes are 6 points: over it.
+	w := do(t, s, "POST", "/v1/jobs", shardBody(`,"shard":{"first":0,"count":3}`))
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("6-point shard submit = %d, want 429 (body %s)", w.Code, w.Body)
+	}
+	if env := decodeBody[errEnvelope](t, w); !strings.Contains(env.Error.Message, "would have 6 grid points") {
+		t.Fatalf("envelope = %+v, want the shard's 6 points charged", env.Error)
+	}
+}
+
 // TestJobSubmitPriorityInvalid: an unknown priority is a synchronous 400
 // with the priority_invalid code, never a queued job.
 func TestJobSubmitPriorityInvalid(t *testing.T) {
