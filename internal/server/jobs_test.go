@@ -97,6 +97,7 @@ func TestJobLifecycle(t *testing.T) {
 			t.Fatalf("/metrics missing %q:\n%s", want, m.Body)
 		}
 	}
+	checkExposition(t, m.Body.String())
 }
 
 // TestJobSubmitInvalid: validation runs at submission, so a bad body is a
