@@ -123,8 +123,8 @@ func publicRoute(route string) bool {
 func (s *Server) wrap(route string, h handlerFunc, stream bool) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.metrics.inflight.Add(1)
-		defer s.metrics.inflight.Add(-1)
+		s.inflight.Add(1)
+		defer s.inflight.Add(-1)
 
 		ctx := r.Context()
 		if s.cfg.RequestTimeout > 0 && !stream {

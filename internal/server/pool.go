@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"runtime"
+	"sync/atomic"
 )
 
 // Pool bounds the number of design-space evaluations running at once. Each
@@ -13,9 +14,10 @@ import (
 // thrashing the scheduler. Waiters are admitted context-aware, so a caller
 // that gives up (timeout, disconnect) leaves the queue immediately.
 type Pool struct {
-	sem     chan struct{}
-	workers int
-	metrics *Metrics
+	sem      chan struct{}
+	workers  int
+	inflight atomic.Int64 // evaluations holding a slot
+	waiting  atomic.Int64 // callers queued for one
 }
 
 // DefaultPoolSize is the default number of concurrently admitted
@@ -44,7 +46,8 @@ func DefaultEvalWorkers() int {
 }
 
 // NewPool returns a pool admitting size concurrent evaluations of workers
-// goroutines each; non-positive arguments select the defaults.
+// goroutines each; non-positive arguments select the defaults. The pool
+// registers its capacity, in-flight and waiting gauges with m.
 func NewPool(size, workers int, m *Metrics) *Pool {
 	if size < 1 {
 		size = DefaultPoolSize()
@@ -52,7 +55,17 @@ func NewPool(size, workers int, m *Metrics) *Pool {
 	if workers < 1 {
 		workers = DefaultEvalWorkers()
 	}
-	return &Pool{sem: make(chan struct{}, size), workers: workers, metrics: m}
+	p := &Pool{sem: make(chan struct{}, size), workers: workers}
+	m.register(p.families)
+	return p
+}
+
+func (p *Pool) families() []family {
+	return []family{
+		gauge("cordobad_pool_size", "Evaluation worker-pool capacity.", p.Size()),
+		gauge("cordobad_pool_inflight_evaluations", "Grid evaluations currently running.", p.inflight.Load()),
+		gauge("cordobad_pool_waiting_requests", "Requests queued for an evaluation slot.", p.waiting.Load()),
+	}
 }
 
 // Size returns the pool capacity.
@@ -65,15 +78,15 @@ func (p *Pool) Workers() int { return p.workers }
 func (p *Pool) Acquire(ctx context.Context) error {
 	select {
 	case p.sem <- struct{}{}:
-		p.metrics.evalInflight.Add(1)
+		p.inflight.Add(1)
 		return nil
 	default:
 	}
-	p.metrics.evalWaiting.Add(1)
-	defer p.metrics.evalWaiting.Add(-1)
+	p.waiting.Add(1)
+	defer p.waiting.Add(-1)
 	select {
 	case p.sem <- struct{}{}:
-		p.metrics.evalInflight.Add(1)
+		p.inflight.Add(1)
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -82,6 +95,6 @@ func (p *Pool) Acquire(ctx context.Context) error {
 
 // Release frees a slot acquired with Acquire.
 func (p *Pool) Release() {
-	p.metrics.evalInflight.Add(-1)
+	p.inflight.Add(-1)
 	<-p.sem
 }

@@ -16,9 +16,9 @@
 //     keys to fair-share weights, job quotas, and request-rate token
 //     buckets; without a registry every caller is one unlimited anonymous
 //     tenant and behavior is byte-identical to the single-tenant daemon;
-//   - GET /healthz, Prometheus-format GET /metrics (request counts, latency
-//     histograms, cache hit/miss, in-flight and pool gauges, all
-//     sync/atomic), and structured request logging via log/slog.
+//   - GET /healthz, Prometheus-format GET /metrics (one registry to which
+//     each subsystem contributes the families over state it owns; see
+//     API.md §Operations), and structured request logging via log/slog.
 //
 // Routes:
 //
@@ -50,6 +50,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"cordoba"
@@ -167,6 +168,8 @@ type Server struct {
 	cache   *Cache
 	pool    *Pool
 
+	inflight atomic.Int64 // HTTP requests currently being served
+
 	// memo is the shared shape-profile cache of the streaming DSE engine:
 	// knob-grid requests reuse each (kernel, shape) evaluation across calls.
 	memo *cordoba.MemoCache
@@ -219,16 +222,11 @@ func New(cfg Config) *Server {
 		s.traces[tr.Name()] = cum
 	}
 
-	pm := NewMetrics(0)
-	s.pool = NewPool(cfg.PoolSize, cfg.EvalWorkers, pm)
-	pm.poolSize = s.pool.Size()
-	s.metrics = pm
+	s.metrics = NewMetrics()
+	s.pool = NewPool(cfg.PoolSize, cfg.EvalWorkers, s.metrics)
 	s.cache = NewCache(cfg.CacheSize)
 	s.memo = cordoba.NewMemoCache(cfg.MemoEntries)
-	pm.SetMemoStats(func() (hits, misses, evictions int64, entries int) {
-		hits, misses = s.memo.Stats()
-		return hits, misses, s.memo.Evictions(), s.memo.Len()
-	})
+	s.metrics.register(s.families)
 
 	s.initTenants()
 	s.initJobs()
@@ -257,11 +255,20 @@ func New(cfg Config) *Server {
 	return s
 }
 
+// families is the collector of the shared memo and the in-flight gauge.
+func (s *Server) families() []family {
+	hits, misses := s.memo.Stats()
+	return []family{
+		counter("cordobad_memo_hits_total", "Shape-profile memo cache hits.", hits),
+		counter("cordobad_memo_misses_total", "Shape-profile memo cache misses.", misses),
+		counter("cordobad_memo_evictions_total", "Shape profiles dropped by capacity eviction.", s.memo.Evictions()),
+		gauge("cordobad_memo_entries", "Shape profiles currently cached.", s.memo.Len()),
+		gauge("cordobad_inflight_requests", "HTTP requests currently being served.", s.inflight.Load()),
+	}
+}
+
 // Handler returns the fully instrumented route tree.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Metrics exposes the observability registry (tests and the daemon banner).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Cache exposes the response cache.
 func (s *Server) Cache() *Cache { return s.cache }

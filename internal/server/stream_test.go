@@ -108,12 +108,13 @@ func TestDSEKnobsCachedAndMetered(t *testing.T) {
 		t.Fatal("cache hit is not byte-identical")
 	}
 
-	streamed, pruned := s.Metrics().DSEStreamCounts()
+	streamed := scrapeValue(t, s, "cordobad_dse_points_streamed_total")
+	pruned := scrapeValue(t, s, "cordobad_dse_points_pruned_total")
 	if streamed != 24 {
-		t.Fatalf("streamed counter = %d, want 24", streamed)
+		t.Fatalf("streamed counter = %g, want 24", streamed)
 	}
 	if pruned <= 0 || pruned >= streamed {
-		t.Fatalf("pruned counter = %d, want within (0, %d)", pruned, streamed)
+		t.Fatalf("pruned counter = %g, want within (0, %g)", pruned, streamed)
 	}
 	if s.Memo().Len() == 0 {
 		t.Fatal("shared memo cache is empty after a knob-grid request")
@@ -122,7 +123,7 @@ func TestDSEKnobsCachedAndMetered(t *testing.T) {
 	m := do(t, s, "GET", "/metrics", "")
 	for _, want := range []string{
 		"cordobad_dse_points_streamed_total 24",
-		fmt.Sprintf("cordobad_dse_points_pruned_total %d", pruned),
+		fmt.Sprintf("cordobad_dse_points_pruned_total %g", pruned),
 		"cordobad_memo_hits_total",
 		"cordobad_memo_misses_total",
 		fmt.Sprintf("cordobad_memo_entries %d", s.Memo().Len()),
