@@ -226,3 +226,61 @@ func TestStreamingAllocsScaleWithShapesNotCells(t *testing.T) {
 		t.Fatalf("allocations scale with cells: %d cells → %d mallocs, %d cells → %d mallocs", small.Size(), aSmall, big.Size(), aBig)
 	}
 }
+
+// TestSurrogateGenerationSteadyStateAllocs: the serial bookkeeping between
+// two evaluation batches — parent selection, the RBF fit, offspring
+// prediction and ranking, and the dedupe of the chosen children — runs in
+// the search's reused scratch and allocates nothing once warm, at the
+// default population on the 4 200-point property grid.
+func TestSurrogateGenerationSteadyStateAllocs(t *testing.T) {
+	cg, err := surrGrid().compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := newSgSpace(cg)
+	rng := newSgRand(5)
+	population, want := DefaultSurrogatePopulation, DefaultSurrogatePopulation/2
+
+	// A parent pool of population + one batch of children, with distinct
+	// lattice points and smooth positive objectives the RBF can fit.
+	pool := make([]SurrogateIndiv, 0, population+want)
+	seen := make(map[int64]bool)
+	for len(pool) < population+want {
+		idx := space.idxOf(int64(rng.intn(int(cg.size()))))
+		id := space.id(idx)
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		c := space.coords(idx)
+		pool = append(pool, SurrogateIndiv{ID: id, Idx: idx, X: 1 + c[0] + 0.5*c[2] + rng.float(), Y: 3 - c[1] - c[0] + rng.float()})
+	}
+	s := newSgScratch()
+	var raw [][sgAxes]int
+	for len(raw) < 4*want {
+		raw = append(raw, sgOffspring(rng, space, pool))
+	}
+	_, uniq := s.dedupe(space, raw, seen, -1)
+	raw = append(raw[:0], uniq...)
+	if len(raw) <= want {
+		t.Fatalf("only %d distinct offspring, need more than %d", len(raw), want)
+	}
+
+	pop := append([]SurrogateIndiv(nil), pool...)
+	generation := func() {
+		parents := s.selectParents(pop, population)
+		chosen := s.rankOffspring(space, parents, raw, want)
+		if len(chosen) != want {
+			t.Fatalf("ranked %d offspring, want %d", len(chosen), want)
+		}
+		s.dedupe(space, chosen, seen, int64(want))
+		pop = append(parents[:0], pool...)
+	}
+	generation()
+	if !s.rbf.fit(space, pool[:population]) {
+		t.Fatal("RBF fit unusable on a smooth pool: the test would skip the model path")
+	}
+	if allocs := testing.AllocsPerRun(20, generation); allocs != 0 {
+		t.Fatalf("one generation's selection, RBF fit and offspring ranking allocate %.1f objects, want 0", allocs)
+	}
+}

@@ -107,7 +107,8 @@ func Evaluate(ctx context.Context, task workload.Task, configs []accel.Config, p
 	if model != nil {
 		modelName = model.Name()
 	}
-	pts, err := evalBatch(ctx, se, len(configs), opt.Workers, func(i int, sc *evalScratch) (Point, error) {
+	pts := make([]Point, len(configs))
+	err = evalBatch(ctx, newWorkerScratch(se, opt.Workers, int64(len(configs))), pts, func(i int, sc *evalScratch) (Point, error) {
 		// The memo is keyed on ShapeKey alone, so a hit would skip the
 		// validation a miss performs: validate every configuration here.
 		if err := configs[i].Validate(); err != nil {

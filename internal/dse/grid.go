@@ -483,12 +483,19 @@ func (cg *compiledGrid) shapeConfig(si int) accel.Config {
 // compiled cell — the node's embodied process plus the accounting model.
 // IDs are "k1" … "kN" in enumeration order.
 func (cg *compiledGrid) at(i int64) (accel.Config, *gridCell) {
+	c, cell := cg.anonAt(i)
+	c.ID = gridPointID(i)
+	return c, cell
+}
+
+// anonAt is at without the ID, for engines that price points anonymously
+// and stamp the ID only on envelope acceptance (taskAcc.offerLocked).
+func (cg *compiledGrid) anonAt(i int64) (accel.Config, *gridCell) {
 	cells := int64(len(cg.cells))
 	si, ci := int(i/cells), int(i%cells)
 	cell := &cg.cells[ci]
 	c := cg.shapeConfig(si)
 	applyCell(&c, cell)
-	c.ID = gridPointID(i)
 	return c, cell
 }
 

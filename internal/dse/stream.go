@@ -397,30 +397,43 @@ func (se *shapeEval) pricePoint(cfg accel.Config, model carbon.Model, modelName 
 	}, nil
 }
 
-// evalBatch prices points 0..n-1 across workers goroutines (< 1 selects
-// GOMAXPROCS), each with its own scratch, and returns them in index order;
-// eval prices point i. Callers accumulate sequentially, so floating-point
-// order — and therefore every checkpoint — is independent of worker
-// scheduling. A cancelled ctx stops the batch with an error.
-func evalBatch(ctx context.Context, se *shapeEval, n, workers int, eval func(i int, sc *evalScratch) (Point, error)) ([]Point, error) {
+// newWorkerScratch returns one evalScratch per evaluation worker: workers of
+// them (< 1 selects GOMAXPROCS), but never more than maxBatch, the most
+// points one evalBatch call will price. A run that prices several batches
+// allocates its worker scratch once.
+func newWorkerScratch(se *shapeEval, workers int, maxBatch int64) []*evalScratch {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
+	if int64(workers) > maxBatch {
+		workers = int(maxBatch)
 	}
-	pts := make([]Point, n)
+	scs := make([]*evalScratch, workers)
+	for i := range scs {
+		scs[i] = newEvalScratch(se)
+	}
+	return scs
+}
+
+// evalBatch prices points 0..len(pts)-1 into pts across one goroutine per
+// scratch (at most one per point); eval prices point i. Callers accumulate
+// sequentially, so floating-point order — and therefore every checkpoint —
+// is independent of worker scheduling. A cancelled ctx stops the batch with
+// an error.
+func evalBatch(ctx context.Context, scs []*evalScratch, pts []Point, eval func(i int, sc *evalScratch) (Point, error)) error {
+	if len(scs) > len(pts) {
+		scs = scs[:len(pts)]
+	}
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
 	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for _, sc := range scs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := newEvalScratch(se)
 			for i := range next {
 				if ctx.Err() != nil {
 					continue
@@ -434,16 +447,16 @@ func evalBatch(ctx context.Context, se *shapeEval, n, workers int, eval func(i i
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
+	for i := range pts {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("dse: evaluation aborted: %w", err)
+		return fmt.Errorf("dse: evaluation aborted: %w", err)
 	}
-	return pts, nil
+	return nil
 }

@@ -19,7 +19,7 @@ func fig8Grid() Grid {
 	return Grid{MACArrays: macs, SRAMMB: sram}
 }
 
-func paperTask(t *testing.T, name string) workload.Task {
+func paperTask(t testing.TB, name string) workload.Task {
 	t.Helper()
 	task, err := workload.PaperTask(name)
 	if err != nil {

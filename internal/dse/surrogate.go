@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cordoba/internal/carbon"
@@ -44,8 +45,8 @@ import (
 // it unset: large enough to hold a stratified sample plus the corners of a
 // typical knob lattice (partition-free grids span five non-degenerate axes;
 // grids with partition axes may exceed the population and are truncated by
-// the budget-capped dedupe), small enough that the O(n²) sort and the RBF
-// solve stay trivial.
+// the budget-capped dedupe), small enough that the O(n³) RBF solve stays
+// trivial next to the O(n log n) NSGA-II selection.
 const DefaultSurrogatePopulation = 48
 
 // sgLegacyAxes is how many leading lattice axes predate the partition axes.
@@ -172,8 +173,14 @@ type SurrogateCheckpoint struct {
 	Acc         AccState         `json:"acc"`
 }
 
-// validate checks a checkpoint against the run asked to resume it.
-func (cp *SurrogateCheckpoint) validate(fp string, size int64) error {
+// validate checks a checkpoint against the run asked to resume it, over
+// that run's knob lattice and budget: besides the fingerprint and the
+// bookkeeping, every population member must be a distinct evaluated lattice
+// point whose index vector lies on the lattice and maps to its id — the
+// search breeds from those vectors, so a corrupt one would price off-grid or
+// diverge.
+func (cp *SurrogateCheckpoint) validate(fp string, space *sgSpace, budget int64) error {
+	size := space.cg.size()
 	if cp.Fingerprint != fp {
 		return fmt.Errorf("dse: surrogate checkpoint fingerprint %.12s does not match this run (%.12s): the task, grid, fab, CI, yield, seed, budget or population changed", cp.Fingerprint, fp)
 	}
@@ -185,6 +192,9 @@ func (cp *SurrogateCheckpoint) validate(fp string, size int64) error {
 	}
 	if int64(len(cp.Evaluated)) != cp.Acc.Total {
 		return fmt.Errorf("dse: surrogate checkpoint lists %d evaluated ids but accumulated %d", len(cp.Evaluated), cp.Acc.Total)
+	}
+	if int64(len(cp.Evaluated)) > budget {
+		return fmt.Errorf("dse: surrogate checkpoint lists %d evaluated ids, over the %d-evaluation budget", len(cp.Evaluated), budget)
 	}
 	for i, id := range cp.Evaluated {
 		if id < 0 || id >= size {
@@ -198,7 +208,23 @@ func (cp *SurrogateCheckpoint) validate(fp string, size int64) error {
 	for _, id := range cp.Evaluated {
 		seen[id] = true
 	}
+	if len(cp.Population) == 0 {
+		return fmt.Errorf("dse: surrogate checkpoint has an empty population")
+	}
+	members := make(map[int64]bool, len(cp.Population))
 	for i, ind := range cp.Population {
+		for k, l := range space.lens {
+			if ind.Idx[k] < 0 || ind.Idx[k] >= l {
+				return fmt.Errorf("dse: surrogate checkpoint population member %d index %v outside the %v lattice", i, ind.Idx, space.lens)
+			}
+		}
+		if id := space.id(ind.Idx); id != ind.ID {
+			return fmt.Errorf("dse: surrogate checkpoint population member %d index %v is grid id %d, not its id %d", i, ind.Idx, id, ind.ID)
+		}
+		if members[ind.ID] {
+			return fmt.Errorf("dse: surrogate checkpoint population lists id %d twice", ind.ID)
+		}
+		members[ind.ID] = true
 		if !seen[ind.ID] {
 			return fmt.Errorf("dse: surrogate checkpoint population member %d (id %d) was never evaluated", i, ind.ID)
 		}
@@ -377,128 +403,175 @@ func (s *sgSpace) latin(rng *sgRand, n int) [][sgAxes]int {
 // ---- NSGA-II machinery ----
 
 // sgDominates reports strict Pareto dominance of a over b.
-func sgDominates(a, b SurrogateIndiv) bool {
+func sgDominates(a, b *SurrogateIndiv) bool {
 	return a.X <= b.X && a.Y <= b.Y && (a.X < b.X || a.Y < b.Y)
 }
 
-// sgRank assigns non-domination ranks (0 = the Pareto front of the pool).
-// O(n²), fine at population scale.
-func sgRank(pop []SurrogateIndiv) []int {
-	n := len(pop)
-	dominated := make([]int, n) // how many dominate i
-	dominates := make([][]int, n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			switch {
-			case sgDominates(pop[i], pop[j]):
-				dominates[i] = append(dominates[i], j)
-				dominated[j]++
-			case sgDominates(pop[j], pop[i]):
-				dominates[j] = append(dominates[j], i)
-				dominated[i]++
-			}
-		}
-	}
-	rank := make([]int, n)
-	var front []int
-	for i := 0; i < n; i++ {
-		if dominated[i] == 0 {
-			front = append(front, i)
-		}
-	}
-	for r := 0; len(front) > 0; r++ {
-		var next []int
-		for _, i := range front {
-			rank[i] = r
-			for _, j := range dominates[i] {
-				if dominated[j]--; dominated[j] == 0 {
-					next = append(next, j)
-				}
-			}
-		}
-		front = next
-	}
-	return rank
+// sgObjOrder sorts pool indices by (X, Y, ID). Ids are unique in every pool
+// the search ranks — the population and the deduplicated offspring — so
+// this is a total order and any sort lands on the same permutation.
+type sgObjOrder struct {
+	pool []SurrogateIndiv
+	idx  []int
 }
 
-// sgCrowding computes each individual's crowding distance within its front:
-// boundary members get +Inf, interior members the normalized gap between
-// their neighbors on both objectives.
-func sgCrowding(pop []SurrogateIndiv, rank []int) []float64 {
-	crowd := make([]float64, len(pop))
-	maxRank := 0
-	for _, r := range rank {
-		if r > maxRank {
-			maxRank = r
-		}
+func (o *sgObjOrder) Len() int      { return len(o.idx) }
+func (o *sgObjOrder) Swap(a, b int) { o.idx[a], o.idx[b] = o.idx[b], o.idx[a] }
+func (o *sgObjOrder) Less(a, b int) bool {
+	pa, pb := &o.pool[o.idx[a]], &o.pool[o.idx[b]]
+	if pa.X != pb.X {
+		return pa.X < pb.X
 	}
-	for r := 0; r <= maxRank; r++ {
-		var f []int
-		for i, ri := range rank {
-			if ri == r {
-				f = append(f, i)
+	if pa.Y != pb.Y {
+		return pa.Y < pb.Y
+	}
+	return pa.ID < pb.ID
+}
+
+// sgCrowdOrder sorts the indices of one front by (crowding desc, id asc).
+type sgCrowdOrder struct {
+	pool  []SurrogateIndiv
+	crowd []float64
+	idx   []int
+}
+
+func (o *sgCrowdOrder) Len() int      { return len(o.idx) }
+func (o *sgCrowdOrder) Swap(a, b int) { o.idx[a], o.idx[b] = o.idx[b], o.idx[a] }
+func (o *sgCrowdOrder) Less(a, b int) bool {
+	ia, ib := o.idx[a], o.idx[b]
+	if o.crowd[ia] != o.crowd[ib] {
+		return o.crowd[ia] > o.crowd[ib]
+	}
+	return o.pool[ia].ID < o.pool[ib].ID
+}
+
+// sgNSGA is the reusable working set of NSGA-II environmental selection.
+// Its buffers grow to the largest pool seen and are reused every
+// generation, so ranking, crowding and selection allocate nothing once warm.
+type sgNSGA struct {
+	rank    []int     // non-domination rank per pool member (0 = Pareto front)
+	crowd   []float64 // crowding distance per pool member, within its front
+	tail    []int     // per front: its last-swept member, then a fill cursor
+	start   []int     // per front: its offset into byFront (plus an end sentinel)
+	obj     sgObjOrder
+	byFront []int // obj.idx regrouped by rank, each front still in (X, Y, ID) order
+	front   sgCrowdOrder
+}
+
+// rankAndCrowd assigns every pool member its non-domination rank and
+// crowding distance — exactly what Deb's pairwise sort and a per-front
+// re-sort produce (the test oracle pins it), in O(n log n).
+//
+// Ranking is a sort-and-sweep, valid because there are two objectives: in
+// (X, Y, ID) order only earlier members can dominate a point, and along a
+// front X never falls and Y never rises, so each front's last-swept member
+// (its tail) dominates the point iff some member of that front does. Every member of
+// front k is dominated from front k-1, so the fronts dominating a point form
+// a prefix, and a binary search over the tails finds its rank.
+//
+// Crowding then walks each front in that same (X, Y, ID) order — a stable
+// counting sort by rank regroups the sweep order front by front — instead
+// of re-sorting every front: boundary members get +Inf, interior members the
+// normalized gap between their neighbors on both objectives.
+func (s *sgNSGA) rankAndCrowd(pool []SurrogateIndiv) {
+	n := len(pool)
+	s.obj.pool, s.obj.idx = pool, resize(s.obj.idx, n)
+	for i := range s.obj.idx {
+		s.obj.idx[i] = i
+	}
+	sort.Sort(&s.obj)
+
+	s.rank = resize(s.rank, n)
+	tail := s.tail[:0]
+	for _, i := range s.obj.idx {
+		p := &pool[i]
+		lo, hi := 0, len(tail)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if sgDominates(&pool[tail[mid]], p) {
+				lo = mid + 1
+			} else {
+				hi = mid
 			}
 		}
-		if len(f) <= 2 {
-			for _, i := range f {
-				crowd[i] = math.Inf(1)
+		if lo == len(tail) {
+			tail = append(tail, i)
+		} else {
+			tail[lo] = i
+		}
+		s.rank[i] = lo
+	}
+	fronts := len(tail)
+
+	start := resize(s.start, fronts+1)
+	clear(start)
+	for _, r := range s.rank {
+		start[r+1]++
+	}
+	for f := 0; f < fronts; f++ {
+		start[f+1] += start[f]
+		tail[f] = start[f]
+	}
+	s.byFront = resize(s.byFront, n)
+	for _, i := range s.obj.idx {
+		r := s.rank[i]
+		s.byFront[tail[r]] = i
+		tail[r]++
+	}
+	s.tail, s.start = tail, start
+
+	s.crowd = resize(s.crowd, n)
+	for f := 0; f < fronts; f++ {
+		m := s.byFront[start[f]:start[f+1]]
+		if len(m) <= 2 {
+			for _, i := range m {
+				s.crowd[i] = math.Inf(1)
 			}
 			continue
 		}
-		sort.Slice(f, func(a, b int) bool {
-			pa, pb := pop[f[a]], pop[f[b]]
-			if pa.X != pb.X {
-				return pa.X < pb.X
-			}
-			if pa.Y != pb.Y {
-				return pa.Y < pb.Y
-			}
-			return pa.ID < pb.ID
-		})
-		crowd[f[0]], crowd[f[len(f)-1]] = math.Inf(1), math.Inf(1)
-		dx := pop[f[len(f)-1]].X - pop[f[0]].X
-		dy := math.Abs(pop[f[0]].Y - pop[f[len(f)-1]].Y)
-		for k := 1; k < len(f)-1; k++ {
+		first, last := &pool[m[0]], &pool[m[len(m)-1]]
+		s.crowd[m[0]], s.crowd[m[len(m)-1]] = math.Inf(1), math.Inf(1)
+		dx := last.X - first.X
+		dy := math.Abs(first.Y - last.Y)
+		for k := 1; k < len(m)-1; k++ {
+			var c float64
 			if dx > 0 {
-				crowd[f[k]] += (pop[f[k+1]].X - pop[f[k-1]].X) / dx
+				c += (pool[m[k+1]].X - pool[m[k-1]].X) / dx
 			}
 			if dy > 0 {
-				crowd[f[k]] += math.Abs(pop[f[k-1]].Y-pop[f[k+1]].Y) / dy
+				c += math.Abs(pool[m[k-1]].Y-pool[m[k+1]].Y) / dy
 			}
+			s.crowd[m[k]] = c
 		}
 	}
-	return crowd
 }
 
-// sgSelect returns the n best individuals by (rank asc, crowding desc,
-// id asc) — NSGA-II environmental selection with a deterministic tie-break.
-// The result is freshly allocated and sorted best-first, so binary
-// tournaments reduce to "lower index wins".
-func sgSelect(pop []SurrogateIndiv, n int) []SurrogateIndiv {
-	rank := sgRank(pop)
-	crowd := sgCrowding(pop, rank)
-	ord := make([]int, len(pop))
-	for i := range ord {
-		ord[i] = i
+// selectOrder returns the indices of the n best pool members by (rank asc,
+// crowding desc, id asc) — NSGA-II environmental selection with a
+// deterministic tie-break — best-first, so binary tournaments reduce to
+// "lower index wins". The fronts are already in rank order, so only the
+// fronts that reach into the first n are sorted, each by crowding. The
+// result is scratch, valid until the next call.
+func (s *sgNSGA) selectOrder(pool []SurrogateIndiv, n int) []int {
+	s.rankAndCrowd(pool)
+	if n > len(pool) {
+		n = len(pool)
 	}
-	sort.Slice(ord, func(a, b int) bool {
-		ia, ib := ord[a], ord[b]
-		if rank[ia] != rank[ib] {
-			return rank[ia] < rank[ib]
-		}
-		if crowd[ia] != crowd[ib] {
-			return crowd[ia] > crowd[ib]
-		}
-		return pop[ia].ID < pop[ib].ID
-	})
-	if n > len(ord) {
-		n = len(ord)
+	s.front.pool, s.front.crowd = pool, s.crowd
+	for f := 0; f+1 < len(s.start) && s.start[f] < n; f++ {
+		s.front.idx = s.byFront[s.start[f]:s.start[f+1]]
+		sort.Sort(&s.front)
 	}
-	out := make([]SurrogateIndiv, n)
-	for i := 0; i < n; i++ {
-		out[i] = pop[ord[i]]
+	return s.byFront[:n]
+}
+
+// resize returns buf with length n, reallocating only when it is too small.
+// The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	return out
+	return buf[:n]
 }
 
 // ---- variation operators ----
@@ -566,10 +639,14 @@ func sgOffspring(rng *sgRand, space *sgSpace, pop []SurrogateIndiv) [sgAxes]int 
 // sgRBF is a multiquadric radial-basis interpolator over normalized knob
 // coordinates, fit to the current population's log-objectives. Predictions
 // only rank offspring — they never enter the archive — so interpolation
-// error costs evaluations, not correctness.
+// error costs evaluations, not correctness. One model is refit every
+// generation into the same buffers.
 type sgRBF struct {
 	centers [][sgAxes]float64
 	wx, wy  []float64
+
+	sys []float64 // the n×(n+2) system, row-major: φ matrix, then both right-hand sides
+	row []int     // offset of each logical row in sys, permuted by pivoting
 }
 
 // sgRBFShape² is the multiquadric shape parameter c² on the unit lattice.
@@ -577,7 +654,7 @@ const sgRBFShape2 = 0.09
 
 func sgPhi(r2 float64) float64 { return math.Sqrt(r2 + sgRBFShape2) }
 
-func sgDist2(a, b [sgAxes]float64) float64 {
+func sgDist2(a, b *[sgAxes]float64) float64 {
 	var d2 float64
 	for k := range a {
 		d := a[k] - b[k]
@@ -586,75 +663,88 @@ func sgDist2(a, b [sgAxes]float64) float64 {
 	return d2
 }
 
-// sgFitRBF solves the regularized interpolation system for both objectives.
-// It returns nil when the system is numerically unusable (the caller then
+// fit solves the regularized interpolation system for both objectives. It
+// reports false when the system is numerically unusable (the caller then
 // evaluates unranked).
-func sgFitRBF(space *sgSpace, train []SurrogateIndiv) *sgRBF {
+func (m *sgRBF) fit(space *sgSpace, train []SurrogateIndiv) bool {
 	n := len(train)
 	if n < 4 {
-		return nil
+		return false
 	}
-	m := &sgRBF{centers: make([][sgAxes]float64, n)}
-	for i, ind := range train {
-		m.centers[i] = space.coords(ind.Idx)
+	m.centers = m.centers[:0]
+	for i := range train {
+		m.centers = append(m.centers, space.coords(train[i].Idx))
 	}
 	// Dense system with two right-hand sides, Gaussian elimination with
 	// partial pivoting. n is the population size, so this is microseconds.
-	a := make([][]float64, n)
-	for i := range a {
-		a[i] = make([]float64, n+2)
-		for j := 0; j < n; j++ {
-			a[i][j] = sgPhi(sgDist2(m.centers[i], m.centers[j]))
+	// sgDist2 is symmetric bit for bit ((a-b)² == (b-a)²), so each φ is
+	// computed once per pair.
+	w := n + 2
+	a := resize(m.sys, n*w)
+	row := resize(m.row, n)
+	m.sys, m.row = a, row
+	for i := 0; i < n; i++ {
+		row[i] = i * w
+		for j := i; j < n; j++ {
+			phi := sgPhi(sgDist2(&m.centers[i], &m.centers[j]))
+			a[i*w+j], a[j*w+i] = phi, phi
 		}
-		a[i][i] += 1e-6 // ridge term: tolerate near-duplicate centers
-		a[i][n] = math.Log(train[i].X)
-		a[i][n+1] = math.Log(train[i].Y)
+	}
+	for i := 0; i < n; i++ {
+		a[i*w+i] += 1e-6 // ridge term: tolerate near-duplicate centers
+		a[i*w+n] = math.Log(train[i].X)
+		a[i*w+n+1] = math.Log(train[i].Y)
 	}
 	for col := 0; col < n; col++ {
 		piv := col
 		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
+			if math.Abs(a[row[r]+col]) > math.Abs(a[row[piv]+col]) {
 				piv = r
 			}
 		}
-		a[col], a[piv] = a[piv], a[col]
-		if math.Abs(a[col][col]) < 1e-12 {
-			return nil
+		row[col], row[piv] = row[piv], row[col]
+		pc := a[row[col] : row[col]+w]
+		if math.Abs(pc[col]) < 1e-12 {
+			return false
 		}
 		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
+			pr := a[row[r] : row[r]+w]
+			f := pr[col] / pc[col]
 			if f == 0 {
 				continue
 			}
-			for j := col; j < n+2; j++ {
-				a[r][j] -= f * a[col][j]
+			// Column col below the pivot is never read again, so the
+			// update starts right of it.
+			for j := col + 1; j < w; j++ {
+				pr[j] -= f * pc[j]
 			}
 		}
 	}
-	m.wx, m.wy = make([]float64, n), make([]float64, n)
+	m.wx, m.wy = resize(m.wx, n), resize(m.wy, n)
 	for i := n - 1; i >= 0; i-- {
-		sx, sy := a[i][n], a[i][n+1]
+		ri := a[row[i] : row[i]+w]
+		sx, sy := ri[n], ri[n+1]
 		for j := i + 1; j < n; j++ {
-			sx -= a[i][j] * m.wx[j]
-			sy -= a[i][j] * m.wy[j]
+			sx -= ri[j] * m.wx[j]
+			sy -= ri[j] * m.wy[j]
 		}
-		m.wx[i] = sx / a[i][i]
-		m.wy[i] = sy / a[i][i]
+		m.wx[i] = sx / ri[i]
+		m.wy[i] = sy / ri[i]
 	}
 	for i := range m.wx {
 		if math.IsNaN(m.wx[i]) || math.IsInf(m.wx[i], 0) || math.IsNaN(m.wy[i]) || math.IsInf(m.wy[i], 0) {
-			return nil
+			return false
 		}
 	}
-	return m
+	return true
 }
 
 // predict returns the interpolated log-objectives at an index vector.
 // Dominance comparisons on logs equal dominance on the raw objectives.
 func (m *sgRBF) predict(space *sgSpace, idx [sgAxes]int) (x, y float64) {
 	c := space.coords(idx)
-	for i, ctr := range m.centers {
-		phi := sgPhi(sgDist2(c, ctr))
+	for i := range m.centers {
+		phi := sgPhi(sgDist2(&c, &m.centers[i]))
 		x += m.wx[i] * phi
 		y += m.wy[i] * phi
 	}
@@ -665,9 +755,10 @@ func (m *sgRBF) predict(space *sgSpace, idx [sgAxes]int) (x, y float64) {
 
 // sgEval prices one grid point exactly like the exhaustive engine
 // (pricePoint), so a surrogate-evaluated point is bit-identical to its
-// exhaustive twin. Grid cells are valid by construction (compile).
+// exhaustive twin, and anonymously: the archive stamps the ID of the points
+// it keeps. Grid cells are valid by construction (compile).
 func sgEval(se *shapeEval, id int64, sc *evalScratch) (Point, error) {
-	cfg, cell := se.cg.at(id)
+	cfg, cell := se.cg.anonAt(id)
 	return se.pricePoint(cfg, cell.model, cell.modelName, cell.process, sc)
 }
 
@@ -718,6 +809,8 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 	rng := newSgRand(seed)
 	acc := &taskAcc{payload: make(map[int64]Point)}
 	seen := make(map[int64]bool, budget)
+	scratch := newSgScratch()
+	workers := newWorkerScratch(se, opt.Workers, budget)
 	var evalOrder []int64 // ascending insert per batch; checkpoint stores the sorted union
 	var pop []SurrogateIndiv
 	gen := 0
@@ -726,10 +819,11 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 	// evaluate prices a batch of unseen candidate ids (ascending) and folds
 	// them into the archive, the population, and the evaluated set.
 	evaluate := func(ids []int64, idxs [][sgAxes]int) error {
-		pts, err := evalBatch(ctx, se, len(ids), opt.Workers, func(i int, sc *evalScratch) (Point, error) {
+		scratch.pts = resize(scratch.pts, len(ids))
+		pts := scratch.pts
+		if err := evalBatch(ctx, workers, pts, func(i int, sc *evalScratch) (Point, error) {
 			return sgEval(se, ids[i], sc)
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
 		acc.offerBatch(ids, pts)
@@ -761,7 +855,7 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 	}
 
 	if cp := opt.Resume; cp != nil {
-		if err := cp.validate(fp, size); err != nil {
+		if err := cp.validate(fp, space, budget); err != nil {
 			return nil, err
 		}
 		if err := acc.restore(cp.Acc); err != nil {
@@ -782,7 +876,7 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 		if extra := population - len(cands); extra > 0 {
 			cands = append(cands, space.latin(rng, extra)...)
 		}
-		ids, idxs := dedupeCandidates(space, cands, seen, budget)
+		ids, idxs := scratch.dedupe(space, cands, seen, budget)
 		if err := evaluate(ids, idxs); err != nil {
 			return nil, err
 		}
@@ -806,7 +900,7 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 		}
 		gen++
 
-		pop = sgSelect(pop, population)
+		pop = scratch.selectParents(pop, population)
 		want := batch
 		if remaining := budget - evals; int64(want) > remaining {
 			want = int(remaining)
@@ -814,18 +908,7 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 
 		// Breed up to 4× the evaluation slots; the surrogate ranks them and
 		// only the most promising fraction pays a real evaluation.
-		target := 4 * want
-		raw := make([][sgAxes]int, 0, target)
-		local := make(map[int64]bool, target)
-		for attempts := 0; len(raw) < target && attempts < 16*target; attempts++ {
-			child := sgOffspring(rng, space, pop)
-			id := space.id(child)
-			if seen[id] || local[id] {
-				continue
-			}
-			local[id] = true
-			raw = append(raw, child)
-		}
+		raw := scratch.breed(rng, space, pop, seen, 4*want)
 		if len(raw) == 0 {
 			// The neighborhood of the front is exhausted (tiny grid or huge
 			// budget): fall back to a deterministic sweep of unseen ids so a
@@ -843,10 +926,10 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 
 		chosen := raw
 		if len(raw) > want {
-			chosen = sgRankOffspring(space, pop, raw, want)
+			chosen = scratch.rankOffspring(space, pop, raw, want)
 			skipped += int64(len(raw) - len(chosen))
 		}
-		ids, idxs := dedupeCandidates(space, chosen, seen, budget-evals)
+		ids, idxs := scratch.dedupe(space, chosen, seen, budget-evals)
 		if err := evaluate(ids, idxs); err != nil {
 			return nil, err
 		}
@@ -859,8 +942,8 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 		}
 	}
 
-	sortedIDs := append([]int64(nil), evalOrder...)
-	sort.Slice(sortedIDs, func(i, j int) bool { return sortedIDs[i] < sortedIDs[j] })
+	sortedIDs := slices.Clone(evalOrder)
+	slices.Sort(sortedIDs)
 	return &SurrogateResult{
 		StreamResult: acc.result(task, ci),
 		GridPoints:   size,
@@ -875,8 +958,8 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 
 // snapshotSurrogate captures the search state at a generation boundary.
 func snapshotSurrogate(fp string, size int64, gen int, skipped int64, rng *sgRand, pop []SurrogateIndiv, evalOrder []int64, acc *taskAcc) *SurrogateCheckpoint {
-	ids := append([]int64(nil), evalOrder...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := slices.Clone(evalOrder)
+	slices.Sort(ids)
 	return &SurrogateCheckpoint{
 		Fingerprint: fp,
 		GridPoints:  size,
@@ -889,59 +972,106 @@ func snapshotSurrogate(fp string, size int64, gen int, skipped int64, rng *sgRan
 	}
 }
 
-// sgRankOffspring picks the want most promising offspring: an RBF surrogate
-// fit to the parent population predicts each child's objectives, and NSGA
-// selection on the predictions keeps a non-dominated, well-spread subset.
-// When the fit is unusable the first want children by grid id are taken —
-// the search stays correct, just less sample-efficient.
-func sgRankOffspring(space *sgSpace, parents []SurrogateIndiv, raw [][sgAxes]int, want int) [][sgAxes]int {
-	model := sgFitRBF(space, parents)
-	if model == nil {
-		byID := append([][sgAxes]int(nil), raw...)
-		sort.Slice(byID, func(i, j int) bool { return space.id(byID[i]) < space.id(byID[j]) })
-		return byID[:want]
+// sgScratch is one search's per-generation working set: the NSGA-II and
+// RBF buffers, the offspring pools, the dedupe state and the evaluation
+// batch. Everything is reused across generations, so the serial bookkeeping
+// between evaluation batches allocates nothing once the first generations
+// have sized it.
+type sgScratch struct {
+	nsga   sgNSGA
+	rbf    sgRBF
+	spare  []SurrogateIndiv // the population buffer not currently in use
+	preds  []SurrogateIndiv // offspring with predicted objectives
+	raw    [][sgAxes]int    // bred offspring
+	chosen [][sgAxes]int    // offspring picked for evaluation
+	taken  map[int64]bool   // ids already in raw, or already in a dedupe
+	ids    []int64          // dedupe output
+	idxs   [][sgAxes]int    // dedupe output, parallel to ids
+	pts    []Point          // evaluation batch
+}
+
+func newSgScratch() *sgScratch {
+	return &sgScratch{taken: make(map[int64]bool)}
+}
+
+// selectParents returns the n best of pop, best-first (see
+// sgNSGA.selectOrder). The result lives in the scratch's spare population
+// buffer and pop's buffer becomes the spare, so the caller must drop pop.
+func (s *sgScratch) selectParents(pop []SurrogateIndiv, n int) []SurrogateIndiv {
+	out := s.spare[:0]
+	for _, i := range s.nsga.selectOrder(pop, n) {
+		out = append(out, pop[i])
 	}
-	preds := make([]SurrogateIndiv, len(raw))
-	for i, idx := range raw {
-		x, y := model.predict(space, idx)
-		preds[i] = SurrogateIndiv{ID: space.id(idx), Idx: idx, X: x, Y: y}
-	}
-	best := sgSelect(preds, want)
-	out := make([][sgAxes]int, len(best))
-	for i, ind := range best {
-		out[i] = ind.Idx
-	}
+	s.spare = pop[:0]
 	return out
 }
 
-// dedupeCandidates resolves candidate index vectors to unique, unseen grid
-// ids, caps them at limit, and returns them sorted ascending by id so
-// accumulation order is canonical.
-func dedupeCandidates(space *sgSpace, cands [][sgAxes]int, seen map[int64]bool, limit int64) ([]int64, [][sgAxes]int) {
-	type c struct {
-		id  int64
-		idx [sgAxes]int
-	}
-	uniq := make([]c, 0, len(cands))
-	local := make(map[int64]bool, len(cands))
-	for _, idx := range cands {
-		id := space.id(idx)
-		if seen[id] || local[id] {
+// breed draws up to target distinct offspring of pop that are not in seen,
+// giving up after 16·target attempts. The result is scratch.
+func (s *sgScratch) breed(rng *sgRand, space *sgSpace, pop []SurrogateIndiv, seen map[int64]bool, target int) [][sgAxes]int {
+	clear(s.taken)
+	raw := s.raw[:0]
+	for attempts := 0; len(raw) < target && attempts < 16*target; attempts++ {
+		child := sgOffspring(rng, space, pop)
+		id := space.id(child)
+		if seen[id] || s.taken[id] {
 			continue
 		}
-		local[id] = true
-		uniq = append(uniq, c{id, idx})
+		s.taken[id] = true
+		raw = append(raw, child)
 	}
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i].id < uniq[j].id })
-	if limit >= 0 && int64(len(uniq)) > limit {
-		uniq = uniq[:limit]
+	s.raw = raw
+	return raw
+}
+
+// rankOffspring picks the want most promising offspring: an RBF surrogate
+// fit to the parent population predicts each child's objectives, and NSGA
+// selection on the predictions keeps a non-dominated, well-spread subset.
+// When the fit is unusable the first want children by grid id are taken —
+// the search stays correct, just less sample-efficient. The result is
+// scratch.
+func (s *sgScratch) rankOffspring(space *sgSpace, parents []SurrogateIndiv, raw [][sgAxes]int, want int) [][sgAxes]int {
+	if !s.rbf.fit(space, parents) {
+		_, idxs := s.dedupe(space, raw, nil, int64(want))
+		s.chosen = append(s.chosen[:0], idxs...)
+		return s.chosen
 	}
-	ids := make([]int64, len(uniq))
-	idxs := make([][sgAxes]int, len(uniq))
-	for i, u := range uniq {
-		ids[i], idxs[i] = u.id, u.idx
+	s.preds = s.preds[:0]
+	for _, idx := range raw {
+		x, y := s.rbf.predict(space, idx)
+		s.preds = append(s.preds, SurrogateIndiv{ID: space.id(idx), Idx: idx, X: x, Y: y})
 	}
-	return ids, idxs
+	s.chosen = s.chosen[:0]
+	for _, i := range s.nsga.selectOrder(s.preds, want) {
+		s.chosen = append(s.chosen, s.preds[i].Idx)
+	}
+	return s.chosen
+}
+
+// dedupe resolves candidate index vectors to unique grid ids not in seen,
+// caps them at limit (< 0: no cap), and returns them sorted ascending by id
+// so accumulation order is canonical, each with its index vector (ids and
+// lattice vectors map one to one). The result is scratch.
+func (s *sgScratch) dedupe(space *sgSpace, cands [][sgAxes]int, seen map[int64]bool, limit int64) ([]int64, [][sgAxes]int) {
+	clear(s.taken)
+	s.ids = s.ids[:0]
+	for _, idx := range cands {
+		id := space.id(idx)
+		if seen[id] || s.taken[id] {
+			continue
+		}
+		s.taken[id] = true
+		s.ids = append(s.ids, id)
+	}
+	slices.Sort(s.ids)
+	if limit >= 0 && int64(len(s.ids)) > limit {
+		s.ids = s.ids[:limit]
+	}
+	s.idxs = s.idxs[:0]
+	for _, id := range s.ids {
+		s.idxs = append(s.idxs, space.idxOf(id))
+	}
+	return s.ids, s.idxs
 }
 
 // unseenSweep returns up to n unseen ids in ascending order — the

@@ -236,6 +236,60 @@ func TestSurrogateCheckpointValidation(t *testing.T) {
 	if _, err := EvaluateSurrogate(context.Background(), paperTask(t, "AI (10 kernels)"), g, carbon.FabCoal, 380, SurrogateOptions{Seed: 3, Budget: 400, Resume: cp}); err == nil {
 		t.Error("resume accepted a checkpoint from a different task")
 	}
+
+	// Tampered population index vectors. The search breeds from them, so an
+	// off-lattice index would price a point outside the grid (a panic in an
+	// evaluation worker) and an on-lattice but wrong one would silently
+	// diverge from the uninterrupted run: both must be refused up front.
+	tampers := map[string]func(*SurrogateCheckpoint){
+		"index outside the lattice": func(c *SurrogateCheckpoint) { c.Population[0].Idx[0] = 99 }, // 10 MAC arrays
+		"negative index":            func(c *SurrogateCheckpoint) { c.Population[0].Idx[1] = -1 },
+		"index on an absent axis":   func(c *SurrogateCheckpoint) { c.Population[0].Idx[sgAxes-1] = 1 },
+		"index not matching its id": func(c *SurrogateCheckpoint) {
+			idx := &c.Population[0].Idx
+			idx[0] = (idx[0] + 1) % len(g.MACArrays)
+		},
+		"duplicate member": func(c *SurrogateCheckpoint) { c.Population[1] = c.Population[0] },
+		"empty population": func(c *SurrogateCheckpoint) { c.Population = nil },
+		"evaluations over the budget": func(c *SurrogateCheckpoint) {
+			// Pad the evaluated set past the 400 budget, keeping the
+			// accumulator's counters consistent with it.
+			listed := make(map[int64]bool, len(c.Evaluated))
+			for _, id := range c.Evaluated {
+				listed[id] = true
+			}
+			added := int64(401 - len(c.Evaluated))
+			var ids []int64
+			for id, extra := int64(0), int64(0); id < g.Size(); id++ {
+				switch {
+				case listed[id]:
+					ids = append(ids, id)
+				case extra < added:
+					ids = append(ids, id)
+					extra++
+				}
+			}
+			c.Evaluated = ids
+			c.Acc.Total += added
+			c.Acc.PrePruned += added
+		},
+	}
+	for name, tamper := range tampers {
+		raw, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bad SurrogateCheckpoint
+		if err := json.Unmarshal(raw, &bad); err != nil {
+			t.Fatal(err)
+		}
+		tamper(&bad)
+		if _, err := EvaluateSurrogate(context.Background(), task, g, carbon.FabCoal, 380, SurrogateOptions{
+			Seed: 3, Budget: 400, Resume: &bad, StreamOptions: StreamOptions{Workers: 4},
+		}); err == nil {
+			t.Errorf("%s: resume accepted a tampered checkpoint", name)
+		}
+	}
 }
 
 // TestSurrogateExhaustiveDegradation: a budget covering the whole grid must
