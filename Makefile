@@ -43,8 +43,10 @@ bench-check:
 	$(GO) test -run '^$$' -bench BenchmarkScheduleWindow -benchtime 1x -benchmem ./internal/sched | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
 
 # Guard the surrogate search's reason to exist: on the 105k-point reference
-# grid it must stay several times faster than exhaustive streaming (the
-# quality floor is pinned separately by internal/dse's golden tests).
+# grid it must stay at least 3x faster than exhaustive streaming in the same
+# run (the faster_than gate on its baseline entry; 3.6-4.5x measured on a
+# 2-vCPU host) besides holding its own time and memory baseline. The
+# quality floor is pinned separately by internal/dse's golden tests.
 bench-surrogate:
 	$(GO) test -run '^$$' -bench BenchmarkSurrogateDSE -benchtime 1x -benchmem . | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
 
@@ -81,6 +83,8 @@ bench-baseline:
 # Ten seconds of coverage-guided fuzzing per target (one -fuzz per
 # invocation is a `go test` restriction). Seed corpora live under each
 # package's testdata/fuzz/ and also run as regular tests in `make test`.
+# FuzzSurrogateCheckpoint's inputs are multi-kilobyte checkpoints, whose
+# default 60 s minimization would eat the whole run, so it is capped.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParetoEnvelope -fuzztime 10s ./internal/pareto
 	$(GO) test -run '^$$' -fuzz FuzzDSERequest -fuzztime 10s ./internal/server
@@ -90,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJobListQuery -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzTraceIntegrate -fuzztime 10s ./internal/grid
 	$(GO) test -run '^$$' -fuzz FuzzAccountingModel -fuzztime 10s ./internal/carbon
+	$(GO) test -run '^$$' -fuzz FuzzSurrogateCheckpoint -fuzztime 10s -fuzzminimizetime 200x ./internal/dse
 
 run-daemon:
 	$(GO) run ./cmd/cordobad -addr :8080

@@ -2,8 +2,11 @@
 // `go test -bench` output on stdin, compares each benchmark's ns/op — and,
 // when present, B/op and allocs/op — against a checked-in baseline, and
 // exits non-zero when any result regresses past its budget (-max-ratio for
-// time, -max-alloc-ratio for memory). Regenerate the baseline after an
-// intentional change with -update.
+// time, -max-alloc-ratio for memory). A baseline entry may also carry a
+// faster_than gate naming another benchmark and a factor: when both are in
+// the run, the entry's ns/op must be at most the other's divided by the
+// factor. Regenerate the baseline after an intentional change with -update,
+// which keeps every faster_than gate.
 //
 // Usage:
 //
@@ -32,11 +35,19 @@ import (
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.e+]+) ns/op(?:\s+([0-9]+) B/op\s+([0-9]+) allocs/op)?`)
 
 // benchResult is one benchmark's measurements; BOp and AllocsOp are negative
-// when the run did not report memory.
+// when the run did not report memory. FasterThan exists only in baselines.
 type benchResult struct {
-	NsOp     float64 `json:"ns_op"`
-	BOp      float64 `json:"b_op,omitempty"`
-	AllocsOp float64 `json:"allocs_op,omitempty"`
+	NsOp       float64     `json:"ns_op"`
+	BOp        float64     `json:"b_op,omitempty"`
+	AllocsOp   float64     `json:"allocs_op,omitempty"`
+	FasterThan *fasterThan `json:"faster_than,omitempty"`
+}
+
+// fasterThan is a relative-speed gate: the benchmark must run at least
+// Factor times faster (in ns/op) than the benchmark Name in the same run.
+type fasterThan struct {
+	Name   string  `json:"name"`
+	Factor float64 `json:"factor"`
 }
 
 // UnmarshalJSON reads a baseline entry. An entry holding only ns_op gates
@@ -102,7 +113,8 @@ func parseBench(r io.Reader, w io.Writer) (map[string]benchResult, error) {
 // violation: a benchmark slower than maxRatio times its baseline ns/op,
 // one allocating more than maxAllocRatio times its baseline B/op or
 // allocs/op (gated only when both the run and the baseline carry memory
-// columns), or one missing from the baseline entirely.
+// columns), one missing from the baseline entirely, or one slower than its
+// baseline's faster_than gate allows against a benchmark in the same run.
 func check(results, baseline map[string]benchResult, maxRatio, maxAllocRatio float64) []string {
 	names := make([]string, 0, len(results))
 	for name := range results {
@@ -132,6 +144,13 @@ func check(results, baseline map[string]benchResult, maxRatio, maxAllocRatio flo
 			violations = append(violations,
 				fmt.Sprintf("%s: %.4g allocs/op vs baseline %.4g (%.2fx > %.2gx budget)",
 					name, got.AllocsOp, base.AllocsOp, got.AllocsOp/base.AllocsOp, maxAllocRatio))
+		}
+		if g := base.FasterThan; g != nil {
+			if other, ok := results[g.Name]; ok && got.NsOp*g.Factor > other.NsOp {
+				violations = append(violations,
+					fmt.Sprintf("%s: %.3gms is %.2fx faster than %s (%.3gms), gate is %gx",
+						name, got.NsOp/1e6, other.NsOp/got.NsOp, g.Name, other.NsOp/1e6, g.Factor))
+			}
 		}
 	}
 	return violations
@@ -172,6 +191,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			}
 		}
 		for name, res := range results {
+			res.FasterThan = merged[name].FasterThan
 			merged[name] = res
 		}
 		b, err := json.MarshalIndent(merged, "", "  ")
@@ -199,6 +219,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	for name, res := range results {
+		if g := baseline[name].FasterThan; g != nil {
+			if other, ok := results[g.Name]; ok {
+				fmt.Fprintf(stderr, "benchcheck: %s is %.2fx faster than %s (gate %gx)\n", name, other.NsOp/res.NsOp, g.Name, g.Factor)
+			}
+		}
+	}
 	violations := check(results, baseline, *maxRatio, *maxAllocRatio)
 	for _, v := range violations {
 		fmt.Fprintln(stderr, "benchcheck: FAIL", v)

@@ -201,3 +201,71 @@ func TestRunUpdateMergesAcrossPackages(t *testing.T) {
 		t.Errorf("entry not refreshed in place:\n%s", raw)
 	}
 }
+
+func TestCheckFasterThan(t *testing.T) {
+	baseline := map[string]benchResult{
+		"BenchmarkS/fast": {NsOp: 100, FasterThan: &fasterThan{Name: "BenchmarkS/slow", Factor: 3}},
+		"BenchmarkS/slow": {NsOp: 400},
+	}
+
+	// 4x faster against a 3x gate: passes.
+	results := map[string]benchResult{
+		"BenchmarkS/fast": {NsOp: 100, BOp: -1, AllocsOp: -1},
+		"BenchmarkS/slow": {NsOp: 400, BOp: -1, AllocsOp: -1},
+	}
+	if got := check(results, baseline, 2.0, 1.3); len(got) != 0 {
+		t.Fatalf("violations = %v, want none at 4x", got)
+	}
+
+	// Within its own 2x time budget, but only 2.5x faster than the other
+	// benchmark of the same run: the ratio gate fires alone.
+	results["BenchmarkS/fast"] = benchResult{NsOp: 160, BOp: -1, AllocsOp: -1}
+	got := check(results, baseline, 2.0, 1.3)
+	if len(got) != 1 || !strings.Contains(got[0], "BenchmarkS/fast") || !strings.Contains(got[0], "2.50x faster than BenchmarkS/slow") {
+		t.Fatalf("violations = %v, want one ratio violation at 2.5x", got)
+	}
+
+	// The gate needs both results: a run of the fast benchmark alone is
+	// held to its own baseline only.
+	delete(results, "BenchmarkS/slow")
+	if got := check(results, baseline, 2.0, 1.3); len(got) != 0 {
+		t.Fatalf("violations = %v, want none without the other benchmark", got)
+	}
+}
+
+func TestRunUpdateKeepsFasterThan(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "baseline.json")
+	gated := `{"BenchmarkStreamingDSE/streaming": {"ns_op": 536123456, "faster_than": {"name": "BenchmarkStreamingDSE/naive", "factor": 10}}}`
+	if err := os.WriteFile(base, []byte(gated), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{"-baseline", base, "-update"},
+		strings.NewReader(sampleOutput), io.Discard, io.Discard); code != 0 {
+		t.Fatalf("-update exited %d", code)
+	}
+	raw, err := os.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"faster_than"`) || !strings.Contains(string(raw), `"factor": 10`) {
+		t.Fatalf("-update dropped the faster_than gate:\n%s", raw)
+	}
+
+	// The sample's streaming run is 14.2x faster than naive: passes. At
+	// twice its time it is 7.1x faster, past the 10x gate; the time budget
+	// is widened so the ratio gate fires alone.
+	if code := run([]string{"-baseline", base},
+		strings.NewReader(sampleOutput), io.Discard, io.Discard); code != 0 {
+		t.Fatalf("clean compare exited %d", code)
+	}
+	slow := strings.Replace(sampleOutput, " 536123456 ns/op", " 1072246912 ns/op", 1)
+	var errOut strings.Builder
+	if code := run([]string{"-baseline", base, "-max-ratio", "3"},
+		strings.NewReader(slow), io.Discard, &errOut); code != 1 {
+		t.Fatalf("ratio regression exited %d, want 1\n%s", code, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "gate is 10x") {
+		t.Fatalf("ratio regression output missing the gate:\n%s", errOut.String())
+	}
+}
