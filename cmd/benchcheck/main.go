@@ -6,7 +6,8 @@
 // faster_than gate naming another benchmark and a factor: when both are in
 // the run, the entry's ns/op must be at most the other's divided by the
 // factor. Regenerate the baseline after an intentional change with -update,
-// which keeps every faster_than gate.
+// which keeps every faster_than gate. A benchmark run several times
+// (go test -count N) is gated, and recorded, on the median of its runs.
 //
 // Usage:
 //
@@ -80,9 +81,11 @@ func (b benchResult) MarshalJSON() ([]byte, error) {
 }
 
 // parseBench extracts name → result from go test -bench output, echoing the
-// input through to w so the pipeline stays readable.
+// input through to w so the pipeline stays readable. A name that appears
+// several times (go test -count N) gets the median of each column over its
+// runs, so one noisy sample neither fails nor passes a gate on its own.
 func parseBench(r io.Reader, w io.Writer) (map[string]benchResult, error) {
-	results := map[string]benchResult{}
+	runs := map[string][]benchResult{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
@@ -104,9 +107,35 @@ func parseBench(r io.Reader, w io.Writer) (map[string]benchResult, error) {
 				return nil, fmt.Errorf("parsing %q: %w", line, err)
 			}
 		}
-		results[m[1]] = res
+		runs[m[1]] = append(runs[m[1]], res)
 	}
-	return results, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	results := make(map[string]benchResult, len(runs))
+	for name, rs := range runs {
+		results[name] = benchResult{
+			NsOp:     median(rs, func(b benchResult) float64 { return b.NsOp }),
+			BOp:      median(rs, func(b benchResult) float64 { return b.BOp }),
+			AllocsOp: median(rs, func(b benchResult) float64 { return b.AllocsOp }),
+		}
+	}
+	return results, nil
+}
+
+// median returns the median of one column over rs (the mean of the middle
+// two for an even count).
+func median(rs []benchResult, col func(benchResult) float64) float64 {
+	v := make([]float64, len(rs))
+	for i, r := range rs {
+		v[i] = col(r)
+	}
+	sort.Float64s(v)
+	n := len(v)
+	if n%2 == 1 {
+		return v[n/2]
+	}
+	return (v[n/2-1] + v[n/2]) / 2
 }
 
 // check compares results against the baseline and returns one line per

@@ -38,6 +38,40 @@ func TestParseBenchStripsSuffix(t *testing.T) {
 	}
 }
 
+// TestParseBenchMedianOfRepeats: a benchmark repeated by -count N is gated
+// on the median of each column, so a single slow (or fast) sample does not
+// decide the gate.
+func TestParseBenchMedianOfRepeats(t *testing.T) {
+	const out = `BenchmarkA-2   1   900 ns/op   100 B/op   10 allocs/op
+BenchmarkB-2   1   50 ns/op
+BenchmarkA-2   1   5000 ns/op   120 B/op   9 allocs/op
+BenchmarkB-2   1   70 ns/op
+BenchmarkA-2   1   1000 ns/op   9000 B/op   11 allocs/op
+BenchmarkA-2   1   1100 ns/op   110 B/op   10 allocs/op
+BenchmarkA-2   1   950 ns/op   105 B/op   12 allocs/op
+`
+	results, err := parseBench(strings.NewReader(out), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]benchResult{
+		"BenchmarkA": {NsOp: 1000, BOp: 110, AllocsOp: 10},
+		"BenchmarkB": {NsOp: 60, BOp: -1, AllocsOp: -1},
+	}
+	for name, res := range want {
+		if results[name] != res {
+			t.Errorf("%s = %+v, want %+v", name, results[name], res)
+		}
+	}
+
+	// The 5000 ns/op outlier would fail a 2x gate on its own; the median
+	// passes it.
+	baseline := map[string]benchResult{"BenchmarkA": {NsOp: 1000, BOp: 110, AllocsOp: 10}, "BenchmarkB": {NsOp: 60}}
+	if v := check(results, baseline, 2.0, 1.3); len(v) != 0 {
+		t.Errorf("median run flagged: %v", v)
+	}
+}
+
 func TestCheckFlagsRegressionsAndMissing(t *testing.T) {
 	results := map[string]benchResult{
 		"BenchmarkA": {NsOp: 900, BOp: -1, AllocsOp: -1},

@@ -279,6 +279,23 @@ func (c Config) Validate() error {
 	case c.Is3D && c.Partition.Active():
 		return fmt.Errorf("accel: %s: legacy Is3D and an active Partition are mutually exclusive", c.ID)
 	}
+	// The pricing kernel (price in shape.go) multiplies these without a
+	// guard, which equals the direct path only for finite, non-negative
+	// values: an infinite MAC energy times a memory-only layer's zero MACs
+	// would be NaN where the direct path prices 0. Signbit rejects -0 too.
+	for _, f := range [...]struct {
+		name string
+		v    units.Energy
+	}{
+		{"MACEnergy", c.Params.MACEnergy},
+		{"SRAMEnergyBase", c.Params.SRAMEnergyBase},
+		{"SRAMEnergySlope", c.Params.SRAMEnergySlope},
+		{"DRAMEnergyPerByte", c.Params.DRAMEnergyPerByte},
+	} {
+		if v := float64(f.v); math.Signbit(v) || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("accel: %s: %s must be finite and non-negative, got %g J", c.ID, f.name, v)
+		}
+	}
 	if err := c.Partition.validate(); err != nil {
 		return fmt.Errorf("accel: %s: partition: %v", c.ID, err)
 	}

@@ -92,6 +92,38 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateEnergies: the per-op energies the pricing kernel multiplies
+// unguarded must be finite and non-negative; an infinite MAC energy would
+// price a memory-only layer as NaN instead of 0.
+func TestValidateEnergies(t *testing.T) {
+	bad := []float64{-1e-12, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	fields := map[string]func(*Params) *units.Energy{
+		"MACEnergy":         func(p *Params) *units.Energy { return &p.MACEnergy },
+		"SRAMEnergyBase":    func(p *Params) *units.Energy { return &p.SRAMEnergyBase },
+		"SRAMEnergySlope":   func(p *Params) *units.Energy { return &p.SRAMEnergySlope },
+		"DRAMEnergyPerByte": func(p *Params) *units.Energy { return &p.DRAMEnergyPerByte },
+	}
+	for name, field := range fields {
+		for _, v := range bad {
+			c := New("e", 16, units.MB(2))
+			*field(&c.Params) = units.Energy(v)
+			err := c.Validate()
+			if err == nil {
+				t.Errorf("%s = %g accepted", name, v)
+				continue
+			}
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %g: error %q does not name the field", name, v, err)
+			}
+		}
+		c := New("e", 16, units.MB(2))
+		*field(&c.Params) = 0
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s = 0 rejected: %v", name, err)
+		}
+	}
+}
+
 func TestMoreArraysNeverSlower(t *testing.T) {
 	small := New("s", 2, units.MB(4))
 	big := New("b", 32, units.MB(4))

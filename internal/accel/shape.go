@@ -13,10 +13,10 @@ import (
 // produce identical layerShape sequences for every kernel — only clocks,
 // per-op energies, bandwidth and 3D wiring may differ between them — so a
 // ShapeProfile computed under one can be replayed under the other. The DSE
-// memo cache (internal/dse.MemoCache) keys on (kernel, ShapeKey), which is
-// what lets a knob grid sweeping DVFS points and technology nodes re-derive
-// each kernel's layer shapes once per (MAC arrays, SRAM) pair instead of
-// once per grid cell.
+// memo cache (internal/dse.MemoCache) keys a slot of kernel profiles on the
+// ShapeKey, which is what lets a knob grid sweeping DVFS points and
+// technology nodes re-derive each kernel's layer shapes once per (MAC
+// arrays, SRAM) pair instead of once per grid cell.
 type ShapeKey struct {
 	MACArrays int
 	SRAM      units.Bytes
@@ -208,22 +208,33 @@ func (p *Pricing) consts() layerConsts {
 }
 
 // price is layerCostOf's per-(layer, cell) arithmetic over the resolved
-// terms: the layer's time and dynamic energy under k.
+// terms: the layer's time and dynamic energy under k. It is the innermost
+// loop of every grid evaluation, so it has no data-dependent branch the
+// values here could make hard to predict.
 //
 // Every expression keeps layerCostOf's operand grouping — time is
 // max(compute, DRAM, D2D) + overhead (+ hop), energy ((MAC + SRAM) + DRAM)
 // + D2D, as Profile sums LayerCost.Energy() — so a kernel accumulated
-// layer by layer through price is bit-identical to KernelCost. The
-// roofline uses the builtin max: on the non-negative, non-NaN times here
-// max(ct, max(mt, dt)) picks exactly what layerCostOf's if chain does.
+// layer by layer through price is bit-identical to KernelCost. Two
+// shortcuts rest on the inputs being non-negative and not NaN, which
+// Config.Validate guarantees for the per-op energies (finite too) and the
+// layer shapes guarantee for MAC counts, byte counts and times:
+//   - the MAC energy is computed unconditionally: for a memory-only layer
+//     (macs = 0) a finite, non-negative macE times 0 is +0, exactly the zero
+//     layerCostOf's macs > 0 branch leaves;
+//   - the roofline is a compare-and-assign, not the builtin max, whose
+//     NaN and ±0 handling costs a longer instruction sequence: on
+//     non-negative, non-NaN times both pick the same value, and when the
+//     two are equal either operand is that value.
+//
 // TestShapeProfileCostBitwise holds the paths equal.
 func price(macs float64, sram units.Bytes, ct, mdt units.Time, dramE, d2dE units.Energy, k layerConsts) (units.Time, units.Energy) {
-	var macEnergy units.Energy
-	if macs > 0 {
-		macEnergy = k.macE * units.Energy(macs)
-	}
+	macEnergy := k.macE * units.Energy(macs)
 	sramEnergy := k.sramPB * units.Energy(sram)
-	t := max(ct, mdt) + k.oh + k.hop
+	if mdt > ct {
+		ct = mdt
+	}
+	t := ct + k.oh + k.hop
 	e := macEnergy + sramEnergy + dramE + d2dE
 	return t, e
 }

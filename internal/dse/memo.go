@@ -20,45 +20,67 @@ const DefaultMemoEntries = 8192
 // hot: the historical full-map flush meant a working set one entry over the
 // bound forced every worker to recompute every profile — a thundering-herd
 // recomputation exactly when the cache was most needed.
-const memoEvictFraction = 4 // evict len/memoEvictFraction entries
+const memoEvictFraction = 4 // evict at least len/memoEvictFraction entries
 
-// memoKey identifies a cached profile: the (kernel, config-signature) pair
-// of the issue spec, with accel.ShapeKey as the signature — the exact set
-// of Config fields a kernel's layer shapes depend on.
-type memoKey struct {
-	kernel nn.KernelID
-	key    accel.ShapeKey
+// memoSlot is one shape's cached kernel profiles, in first-insert order.
+// It only grows, under the cache's write lock.
+type memoSlot struct {
+	profiles []*accel.ShapeProfile
 }
 
-// memoEntry is one cached profile, set aside while evictLocked rebuilds.
+// find returns the slot's profile of kernel id, or nil. It checks hint,
+// the kernel's position in the caller's list, first: a caller asking for
+// the kernels that filled the slot finds each at its own position.
+func (s *memoSlot) find(id nn.KernelID, hint int) *accel.ShapeProfile {
+	if s == nil {
+		return nil
+	}
+	if hint < len(s.profiles) && s.profiles[hint].Kernel == id {
+		return s.profiles[hint]
+	}
+	for _, sp := range s.profiles {
+		if sp.Kernel == id {
+			return sp
+		}
+	}
+	return nil
+}
+
+// memoEntry is one cached shape, set aside while evictLocked rebuilds.
 type memoEntry struct {
-	key memoKey
-	sp  *accel.ShapeProfile
+	key  accel.ShapeKey
+	slot *memoSlot
 }
 
 // MemoCache is the concurrency-safe memoization layer of the streaming DSE
-// engine: it caches accel.ShapeProfile values keyed on (kernel, ShapeKey),
-// so the dominant per-point cost — walking a kernel's layers — is paid once
-// per shape per worker-pool run and replayed across every DVFS/node cell,
-// every task sharing the kernel, and every request sharing the cache.
+// engine: it caches accel.ShapeProfile values per (kernel, ShapeKey), so the
+// dominant per-point cost — walking a kernel's layers — is paid once per
+// shape and replayed across every DVFS/node cell, every task sharing the
+// kernel, and every request sharing the cache. Its map is keyed on the
+// ShapeKey alone, each entry a slot of that shape's kernel profiles, so the
+// engine, which asks for all of a shape's kernels at once, hashes the
+// float-heavy key once per shape instead of once per kernel.
 //
-// The cache is bounded: when an insert would exceed the limit, a random
-// ~25% of the entries are evicted under the lock (Go's map iteration order
-// is randomized, so walking the map is a cheap random sample). Evictions are
-// counted and exported as cordobad_memo_evictions_total.
+// The bound counts profiles: an insert that would exceed it first evicts
+// random whole shapes until at least ~25% of the profiles are gone (map
+// iteration order is randomized, so walking the map is a cheap random
+// sample). Evicted profiles are exported as cordobad_memo_evictions_total.
 type MemoCache struct {
 	mu   sync.RWMutex
-	max  int
-	m    map[memoKey]*accel.ShapeProfile
+	max  int // bound on profiles
+	n    int // profiles held
+	m    map[accel.ShapeKey]*memoSlot
 	kept []memoEntry // eviction's survivor buffer, see evictLocked
 
-	// bases maps (kernel, ShapeKey.ComputeKey) and mems maps (kernel,
-	// ShapeKey.MemKey) to the latest profile inserted under them. A miss builds its profile from those siblings
-	// (accel.Config.ShapeProfileFrom), so every SRAM size of one MAC count
-	// shares a single copy of the SRAM-independent half, and every MAC count
-	// of one SRAM size a single copy of the SRAM-dependent half. Cleared on
-	// eviction, which bounds them by the cache size.
-	bases, mems map[memoKey]*accel.ShapeProfile
+	// bases maps ShapeKey.ComputeKey and mems ShapeKey.MemKey to the latest
+	// slot inserted under them. A miss builds its profile from those slots'
+	// profiles of the same kernel (accel.Config.ShapeProfileFrom), so every
+	// SRAM size of one MAC count shares one copy of the SRAM-independent
+	// half, and every MAC count of one SRAM size one copy of the
+	// SRAM-dependent half (when that slot holds the kernel: one filled by
+	// another task's kernels offers none). Cleared on eviction, which
+	// bounds them.
+	bases, mems map[accel.ShapeKey]*memoSlot
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -73,62 +95,76 @@ func NewMemoCache(max int) *MemoCache {
 	}
 	return &MemoCache{
 		max:   max,
-		m:     make(map[memoKey]*accel.ShapeProfile),
-		bases: make(map[memoKey]*accel.ShapeProfile),
-		mems:  make(map[memoKey]*accel.ShapeProfile),
+		m:     make(map[accel.ShapeKey]*memoSlot),
+		bases: make(map[accel.ShapeKey]*memoSlot),
+		mems:  make(map[accel.ShapeKey]*memoSlot),
 	}
 }
 
-// evictLocked makes room for one insert by dropping a random fraction of the
-// map. The survivors are set aside, the map cleared and the survivors put
-// back, because deleting in place would leave every deleted slot behind: Go
-// maps never shrink, and under steady insert/evict churn such a table grows
-// to several times the size the bound implies, so memory would track the
-// number of profiles ever computed rather than the bound. Clearing keeps
-// the table's allocation and the survivor buffer is reused, so evictions
-// allocate nothing after the first. Called with mu held for writing and
-// len(m) >= max.
-func (mc *MemoCache) evictLocked() {
-	drop := len(mc.m) / memoEvictFraction
-	if drop < 1 {
-		drop = 1
-	}
-	mc.evictions.Add(int64(drop))
+// evictLocked drops random whole shapes other than keep until at least
+// len/4 (min 1) profiles are gone, or only keep is left. The survivors are
+// set aside, the map cleared and the survivors put back: Go maps never
+// shrink, so deleting in place would let steady insert/evict churn grow the
+// table to several times the size the bound implies. Clearing keeps the
+// table's allocation and the survivor buffer is reused, so evictions
+// allocate nothing after the first. Called with mu held for writing.
+func (mc *MemoCache) evictLocked(keep *memoSlot) {
+	drop := max(mc.n/memoEvictFraction, 1)
 	if cap(mc.kept) < len(mc.m) {
 		mc.kept = make([]memoEntry, 0, len(mc.m))
 	}
 	kept := mc.kept[:0]
-	for k, sp := range mc.m {
-		if drop > 0 {
-			drop-- // iteration order is random, so the dropped set is too
+	dropped := 0
+	for k, s := range mc.m {
+		if dropped < drop && s != keep {
+			dropped += len(s.profiles) // iteration order is random, so the dropped set is too
 			continue
 		}
-		kept = append(kept, memoEntry{k, sp})
+		kept = append(kept, memoEntry{k, s})
 	}
+	mc.n -= dropped
+	mc.evictions.Add(int64(dropped))
 	clear(mc.m)
 	for _, e := range kept {
-		mc.m[e.key] = e.sp
+		mc.m[e.key] = e.slot
 	}
-	clear(kept) // drop the buffer's profile references until the next eviction
+	clear(kept) // drop the buffer's slot references until the next eviction
 	mc.kept = kept
 	clear(mc.bases)
 	clear(mc.mems)
 }
 
-// insertLocked stores sp under k, evicting if full. When another worker
-// already inserted the key, the previous profile wins so every caller replays
-// one canonical pointer. Returns the canonical profile.
-func (mc *MemoCache) insertLocked(k memoKey, sp *accel.ShapeProfile) *accel.ShapeProfile {
-	if prev, ok := mc.m[k]; ok {
-		return prev
+// insertLocked stores dst (parallel to kernels) in key's slot, evicting
+// other shapes first when the new profiles would exceed the bound. A kernel
+// the slot already holds keeps its profile, which replaces dst's, so every
+// caller replays one canonical pointer. A shape whose profiles alone exceed
+// the bound is left uncached. Called with mu held for writing.
+func (mc *MemoCache) insertLocked(key accel.ShapeKey, kernels []nn.KernelID, dst []*accel.ShapeProfile) {
+	s := mc.m[key]
+	if s == nil {
+		s = &memoSlot{profiles: make([]*accel.ShapeProfile, 0, len(kernels))}
 	}
-	if len(mc.m) >= mc.max {
-		mc.evictLocked()
+	add := 0
+	for i, id := range kernels {
+		if s.find(id, i) == nil {
+			add++
+		}
 	}
-	mc.m[k] = sp
-	mc.bases[memoKey{k.kernel, k.key.ComputeKey()}] = sp
-	mc.mems[memoKey{k.kernel, k.key.MemKey()}] = sp
-	return sp
+	for mc.n+add > mc.max && mc.n > len(s.profiles) {
+		mc.evictLocked(s)
+	}
+	if mc.n+add > mc.max {
+		return
+	}
+	for i, id := range kernels {
+		if sp := s.find(id, i); sp != nil {
+			dst[i] = sp
+			continue
+		}
+		s.profiles = append(s.profiles, dst[i])
+		mc.n++
+	}
+	mc.m[key], mc.bases[key.ComputeKey()], mc.mems[key.MemKey()] = s, s, s
 }
 
 // Profile returns the shape profile of kernel id on configuration c,
@@ -141,26 +177,22 @@ func (mc *MemoCache) Profile(c accel.Config, id nn.KernelID) (*accel.ShapeProfil
 }
 
 // Profiles fills dst (parallel to kernels) with the shape profiles of every
-// kernel on configuration c, taking one read-lock round-trip per shape
-// instead of one per kernel — the batched lookup the streaming engine's
-// per-shape hot path rides. The ShapeKey is computed once; on a full hit the
-// call performs no allocations. Missing profiles are computed outside the
-// lock, each from its cached siblings of another SRAM size and of another
-// MAC count when there are, and inserted with a single write-lock
-// round-trip.
+// kernel on configuration c — the batched lookup the engine's per-shape hot
+// path rides. A full hit is one read-locked map lookup and allocates
+// nothing. Missing profiles are computed outside the lock, from cached
+// siblings of another SRAM size or MAC count when there are, and inserted
+// with one write-lock round-trip. Hits and misses count kernels.
 func (mc *MemoCache) Profiles(c accel.Config, kernels []nn.KernelID, dst []*accel.ShapeProfile) error {
 	key := c.ShapeKey()
 
 	missing := 0
 	mc.mu.RLock()
+	s := mc.m[key]
 	for i, id := range kernels {
-		k := memoKey{kernel: id, key: key}
-		sp, ok := mc.m[k]
-		if !ok {
+		dst[i] = s.find(id, i)
+		if dst[i] == nil {
 			missing++
-			sp = mc.bases[memoKey{id, key.ComputeKey()}] // a sibling to build from, or nil
 		}
-		dst[i] = sp
 	}
 	mc.mu.RUnlock()
 	mc.hits.Add(int64(len(kernels) - missing))
@@ -169,23 +201,22 @@ func (mc *MemoCache) Profiles(c accel.Config, kernels []nn.KernelID, dst []*acce
 	}
 	mc.misses.Add(int64(missing))
 
+	ck, mk := key.ComputeKey(), key.MemKey()
 	for i, id := range kernels {
-		if dst[i] != nil && dst[i].Key == key {
-			continue // hit
+		if dst[i] != nil {
+			continue
 		}
 		mc.mu.RLock()
-		mem := mc.mems[memoKey{id, key.MemKey()}]
+		base, mem := mc.bases[ck].find(id, i), mc.mems[mk].find(id, i)
 		mc.mu.RUnlock()
-		sp, err := c.ShapeProfileFrom(id, dst[i], mem)
+		sp, err := c.ShapeProfileFrom(id, base, mem)
 		if err != nil {
 			return err
 		}
 		dst[i] = sp
 	}
 	mc.mu.Lock()
-	for i, id := range kernels {
-		dst[i] = mc.insertLocked(memoKey{kernel: id, key: key}, dst[i])
-	}
+	mc.insertLocked(key, kernels, dst)
 	mc.mu.Unlock()
 	return nil
 }
@@ -194,17 +225,16 @@ func (mc *MemoCache) Profiles(c accel.Config, kernels []nn.KernelID, dst []*acce
 func (mc *MemoCache) Len() int {
 	mc.mu.RLock()
 	defer mc.mu.RUnlock()
-	return len(mc.m)
+	return mc.n
 }
 
-// Stats returns the lifetime hit and miss counters.
+// Stats returns the lifetime hit and miss counters, counted per kernel.
 func (mc *MemoCache) Stats() (hits, misses int64) {
 	return mc.hits.Load(), mc.misses.Load()
 }
 
-// Evictions returns the number of entries dropped by capacity eviction
-// (each eviction event drops a random ~25% of the cache). Exported as
-// cordobad_memo_evictions_total.
+// Evictions returns the number of profiles dropped by capacity eviction.
+// Exported as cordobad_memo_evictions_total.
 func (mc *MemoCache) Evictions() int64 {
 	return mc.evictions.Load()
 }

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"cordoba/internal/accel"
@@ -127,9 +128,10 @@ func TestMemoChurnKeepsTableBounded(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
+	kernels, dst := []nn.KernelID{nn.RN18}, []*accel.ShapeProfile{sp}
 	insert := func(mc *MemoCache, from, n int) {
 		for i := from; i < from+n; i++ {
-			mc.insertLocked(memoKey{kernel: nn.RN18, key: accel.ShapeKey{MACArrays: i + 1}}, sp)
+			mc.insertLocked(accel.ShapeKey{MACArrays: i + 1}, kernels, dst)
 		}
 	}
 
@@ -201,5 +203,123 @@ func TestMemoMissBuildsFromSibling(t *testing.T) {
 		if got := dst[0].Cost(c); got != want {
 			t.Fatalf("profile built from siblings %v replays %+v, direct %+v", siblings, got, want)
 		}
+	}
+}
+
+// TestMemoFullHitAllocatesNothing: a full hit is one map lookup per shape,
+// allocation-free whether the caller lists the kernels in the order that
+// filled the shape's slot or in another.
+func TestMemoFullHitAllocatesNothing(t *testing.T) {
+	mc := NewMemoCache(0)
+	cfg := accel.New("m", 24, 6*units.MiB)
+	kernels := nn.AllKernels()
+	reversed := slices.Clone(kernels)
+	slices.Reverse(reversed)
+	dst := make([]*accel.ShapeProfile, len(kernels))
+	if err := mc.Profiles(cfg, kernels, dst); err != nil {
+		t.Fatal(err)
+	}
+	for _, order := range [][]nn.KernelID{kernels, reversed} {
+		_, missesBefore := mc.Stats()
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := mc.Profiles(cfg, order, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if _, missesAfter := mc.Stats(); missesAfter != missesBefore {
+			t.Fatalf("full hit missed (%d → %d)", missesBefore, missesAfter)
+		}
+		if allocs != 0 {
+			t.Fatalf("full hit over %d kernels allocates %.1f objects, want 0", len(order), allocs)
+		}
+		for i, id := range order {
+			if dst[i].Kernel != id {
+				t.Fatalf("dst[%d] profiles %s, want %s", i, dst[i].Kernel, id)
+			}
+		}
+	}
+}
+
+// TestMemoBoundHoldsWhenShapeGrows: a request adding kernels to a shape
+// already cached must evict other shapes to stay within the bound, never
+// the growing shape itself, keep its existing profiles canonical, and count
+// each profile. Eviction picks shapes at random, so the scenario repeats.
+func TestMemoBoundHoldsWhenShapeGrows(t *testing.T) {
+	const max = 6
+	two := []nn.KernelID{nn.RN18, nn.RN50}
+	four := []nn.KernelID{nn.RN18, nn.RN50, nn.GN, nn.SR512}
+	cfgs := memoTestConfigs(3)
+	for round := 0; round < 20; round++ {
+		mc := NewMemoCache(max)
+		first := make([]*accel.ShapeProfile, len(two))
+		for i, c := range cfgs {
+			dst := make([]*accel.ShapeProfile, len(two))
+			if err := mc.Profiles(c, two, dst); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				copy(first, dst)
+			}
+		}
+		if n := mc.Len(); n != max {
+			t.Fatalf("Len() = %d after filling, want %d", n, max)
+		}
+
+		dst := make([]*accel.ShapeProfile, len(four))
+		if err := mc.Profiles(cfgs[0], four, dst); err != nil {
+			t.Fatal(err)
+		}
+		held := 0
+		for _, s := range mc.m {
+			held += len(s.profiles)
+		}
+		if n := mc.Len(); n > max || n != held {
+			t.Fatalf("cache counts %d profiles and holds %d after a cached shape grew, bound is %d", n, held, max)
+		}
+		if dst[0] != first[0] || dst[1] != first[1] {
+			t.Fatal("growing a cached shape replaced its existing profiles")
+		}
+		if got := mc.Evictions(); got != 2 {
+			t.Fatalf("Evictions() = %d, want the 2 profiles of the one shape dropped", got)
+		}
+		hits, misses := mc.Stats()
+		if hits != 2 || misses != 3*2+2 {
+			t.Fatalf("Stats() = %d hits, %d misses; want 2, 8", hits, misses)
+		}
+
+		// The grown shape is now a full hit.
+		again := make([]*accel.ShapeProfile, len(four))
+		if err := mc.Profiles(cfgs[0], four, again); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(again, dst) {
+			t.Fatal("the grown shape does not replay its canonical profiles")
+		}
+		if _, m := mc.Stats(); m != misses {
+			t.Fatalf("the grown shape missed again (%d → %d)", misses, m)
+		}
+	}
+}
+
+// TestMemoInsertKeepsFirstProfile: when two workers miss the same shape and
+// kernel, the first insert wins and the second caller gets its pointer, so
+// every caller replays one canonical profile.
+func TestMemoInsertKeepsFirstProfile(t *testing.T) {
+	c := accel.New("m", 8, 4*units.MiB)
+	a, err := c.ShapeProfile(nn.RN18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.ShapeProfile(nn.RN18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := NewMemoCache(0)
+	kernels := []nn.KernelID{nn.RN18}
+	mc.insertLocked(c.ShapeKey(), kernels, []*accel.ShapeProfile{a})
+	dst := []*accel.ShapeProfile{b}
+	mc.insertLocked(c.ShapeKey(), kernels, dst)
+	if dst[0] != a || mc.Len() != 1 {
+		t.Fatalf("second insert left %p (first %p) and %d profiles, want the first and 1", dst[0], a, mc.Len())
 	}
 }

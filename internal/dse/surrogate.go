@@ -858,6 +858,10 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 		if err := cp.validate(fp, space, budget); err != nil {
 			return nil, err
 		}
+		scratch.pts = resize(scratch.pts, len(cp.Population))
+		if err := repriceMembers(ctx, se, workers, cp.Population, scratch.pts); err != nil {
+			return nil, err
+		}
 		if err := acc.restore(cp.Acc); err != nil {
 			return nil, fmt.Errorf("dse: surrogate checkpoint: %w", err)
 		}
@@ -954,6 +958,26 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 		Budget:       budget,
 		Evaluated:    sortedIDs,
 	}, nil
+}
+
+// repriceMembers re-prices a resumed checkpoint's population into pts and
+// rejects a member whose stored objectives differ from the re-pricing bit
+// for bit. validate checks only the members' bookkeeping, while the search
+// ranks and breeds from these objectives, so a tampered one would resume
+// into a different run than the uninterrupted one.
+func repriceMembers(ctx context.Context, se *shapeEval, workers []*evalScratch, pop []SurrogateIndiv, pts []Point) error {
+	if err := evalBatch(ctx, workers, pts, func(i int, sc *evalScratch) (Point, error) {
+		return sgEval(se, pop[i].ID, sc)
+	}); err != nil {
+		return err
+	}
+	for i, ind := range pop {
+		x, y := pts[i].EDP(), pts[i].EmbodiedDelay()
+		if math.Float64bits(x) != math.Float64bits(ind.X) || math.Float64bits(y) != math.Float64bits(ind.Y) {
+			return fmt.Errorf("dse: surrogate checkpoint population member %d (id %d) stores objectives (%g, %g), its re-pricing gives (%g, %g)", i, ind.ID, ind.X, ind.Y, x, y)
+		}
+	}
+	return nil
 }
 
 // snapshotSurrogate captures the search state at a generation boundary.

@@ -3,6 +3,9 @@ package dse
 import (
 	"context"
 	"encoding/json"
+	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -289,6 +292,45 @@ func TestSurrogateCheckpointValidation(t *testing.T) {
 		}); err == nil {
 			t.Errorf("%s: resume accepted a tampered checkpoint", name)
 		}
+	}
+
+	// Tampered objectives. The bookkeeping above is intact, but the search
+	// ranks and breeds from X and Y: a seed-11, budget-500 checkpoint with
+	// Population[0].X scaled by 1000 used to resume into a different
+	// evaluated set and envelope. Resume re-prices the members and must
+	// name the one that does not match.
+	var first *SurrogateCheckpoint
+	o = SurrogateOptions{Seed: 11, Budget: 500, Every: 1, StreamOptions: StreamOptions{Workers: 4}}
+	o.OnCheckpoint = func(c *SurrogateCheckpoint) error {
+		if first == nil {
+			first = c
+		}
+		return nil
+	}
+	if _, err := EvaluateSurrogate(context.Background(), task, g, carbon.FabCoal, 380, o); err != nil {
+		t.Fatal(err)
+	}
+	if first == nil {
+		t.Fatal("no checkpoint observed")
+	}
+	for name, tamper := range map[string]func(*SurrogateIndiv){
+		"X scaled by 1000": func(m *SurrogateIndiv) { m.X *= 1000 },
+		"Y one ulp off":    func(m *SurrogateIndiv) { m.Y = math.Nextafter(m.Y, math.Inf(1)) },
+	} {
+		bad := *first
+		bad.Population = slices.Clone(first.Population)
+		tamper(&bad.Population[0])
+		_, err := EvaluateSurrogate(context.Background(), task, g, carbon.FabCoal, 380, SurrogateOptions{
+			Seed: 11, Budget: 500, Resume: &bad, StreamOptions: StreamOptions{Workers: 4},
+		})
+		if err == nil || !strings.Contains(err.Error(), "population member 0 ") {
+			t.Errorf("%s: resume returned %v, want an error naming population member 0", name, err)
+		}
+	}
+	if _, err := EvaluateSurrogate(context.Background(), task, g, carbon.FabCoal, 380, SurrogateOptions{
+		Seed: 11, Budget: 500, Resume: first, StreamOptions: StreamOptions{Workers: 4},
+	}); err != nil {
+		t.Fatalf("untampered checkpoint refused: %v", err)
 	}
 }
 
