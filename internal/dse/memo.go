@@ -22,34 +22,20 @@ const DefaultMemoEntries = 8192
 // recomputation exactly when the cache was most needed.
 const memoEvictFraction = 4 // evict at least len/memoEvictFraction entries
 
-// memoSlot is one shape's cached kernel profiles, in first-insert order.
-// It only grows, under the cache's write lock.
-type memoSlot struct {
-	profiles []*accel.ShapeProfile
-}
+// profileSet holds at most one profile per kernel, indexed by the kernel's
+// canonical index (nn.KernelIndex).
+type profileSet [nn.NumKernels]*accel.ShapeProfile
 
-// find returns the slot's profile of kernel id, or nil. It checks hint,
-// the kernel's position in the caller's list, first: a caller asking for
-// the kernels that filled the slot finds each at its own position.
-func (s *memoSlot) find(id nn.KernelID, hint int) *accel.ShapeProfile {
-	if s == nil {
-		return nil
-	}
-	if hint < len(s.profiles) && s.profiles[hint].Kernel == id {
-		return s.profiles[hint]
-	}
-	for _, sp := range s.profiles {
-		if sp.Kernel == id {
-			return sp
-		}
-	}
-	return nil
+// memoSlot is one shape's cached kernel profiles; n counts the non-nil ones.
+type memoSlot struct {
+	p profileSet
+	n int
 }
 
 // memoEntry is one cached shape, set aside while evictLocked rebuilds.
 type memoEntry struct {
 	key  accel.ShapeKey
-	slot *memoSlot
+	slot memoSlot
 }
 
 // MemoCache is the concurrency-safe memoization layer of the streaming DSE
@@ -57,9 +43,9 @@ type memoEntry struct {
 // dominant per-point cost — walking a kernel's layers — is paid once per
 // shape and replayed across every DVFS/node cell, every task sharing the
 // kernel, and every request sharing the cache. Its map is keyed on the
-// ShapeKey alone, each entry a slot of that shape's kernel profiles, so the
-// engine, which asks for all of a shape's kernels at once, hashes the
-// float-heavy key once per shape instead of once per kernel.
+// ShapeKey alone; each entry is a slot with one position per kernel, so a
+// caller asking for all of a shape's kernels hashes the float-heavy key once
+// and indexes the slot by canonical kernel index.
 //
 // The bound counts profiles: an insert that would exceed it first evicts
 // random whole shapes until at least ~25% of the profiles are gone (map
@@ -69,18 +55,16 @@ type MemoCache struct {
 	mu   sync.RWMutex
 	max  int // bound on profiles
 	n    int // profiles held
-	m    map[accel.ShapeKey]*memoSlot
+	m    map[accel.ShapeKey]memoSlot
 	kept []memoEntry // eviction's survivor buffer, see evictLocked
 
 	// bases maps ShapeKey.ComputeKey and mems ShapeKey.MemKey to the latest
-	// slot inserted under them. A miss builds its profile from those slots'
-	// profiles of the same kernel (accel.Config.ShapeProfileFrom), so every
-	// SRAM size of one MAC count shares one copy of the SRAM-independent
-	// half, and every MAC count of one SRAM size one copy of the
-	// SRAM-dependent half (when that slot holds the kernel: one filled by
-	// another task's kernels offers none). Cleared on eviction, which
-	// bounds them.
-	bases, mems map[accel.ShapeKey]*memoSlot
+	// profile of each kernel inserted under them. A miss builds its profile
+	// from those siblings (accel.Config.ShapeProfileFrom), so every SRAM size
+	// of one MAC count shares one copy of the SRAM-independent half, and
+	// every MAC count of one SRAM size one copy of the SRAM-dependent half.
+	// Cleared on eviction, which bounds them.
+	bases, mems map[accel.ShapeKey]profileSet
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -95,20 +79,20 @@ func NewMemoCache(max int) *MemoCache {
 	}
 	return &MemoCache{
 		max:   max,
-		m:     make(map[accel.ShapeKey]*memoSlot),
-		bases: make(map[accel.ShapeKey]*memoSlot),
-		mems:  make(map[accel.ShapeKey]*memoSlot),
+		m:     make(map[accel.ShapeKey]memoSlot),
+		bases: make(map[accel.ShapeKey]profileSet),
+		mems:  make(map[accel.ShapeKey]profileSet),
 	}
 }
 
-// evictLocked drops random whole shapes other than keep until at least
-// len/4 (min 1) profiles are gone, or only keep is left. The survivors are
-// set aside, the map cleared and the survivors put back: Go maps never
-// shrink, so deleting in place would let steady insert/evict churn grow the
-// table to several times the size the bound implies. Clearing keeps the
-// table's allocation and the survivor buffer is reused, so evictions
-// allocate nothing after the first. Called with mu held for writing.
-func (mc *MemoCache) evictLocked(keep *memoSlot) {
+// evictLocked drops random shapes other than keep until at least len/4
+// (min 1) profiles are gone. The survivors are set aside, the map cleared
+// and the survivors put back: Go maps never shrink, so deleting in place
+// would let steady insert/evict churn grow the table to several times the
+// size the bound implies. Clearing keeps the table's allocation and the
+// survivor buffer is reused, so evictions allocate nothing after the first.
+// Called with mu held for writing.
+func (mc *MemoCache) evictLocked(keep accel.ShapeKey) {
 	drop := max(mc.n/memoEvictFraction, 1)
 	if cap(mc.kept) < len(mc.m) {
 		mc.kept = make([]memoEntry, 0, len(mc.m))
@@ -116,8 +100,8 @@ func (mc *MemoCache) evictLocked(keep *memoSlot) {
 	kept := mc.kept[:0]
 	dropped := 0
 	for k, s := range mc.m {
-		if dropped < drop && s != keep {
-			dropped += len(s.profiles) // iteration order is random, so the dropped set is too
+		if dropped < drop && k != keep {
+			dropped += s.n // iteration order is random, so the dropped set is too
 			continue
 		}
 		kept = append(kept, memoEntry{k, s})
@@ -128,88 +112,91 @@ func (mc *MemoCache) evictLocked(keep *memoSlot) {
 	for _, e := range kept {
 		mc.m[e.key] = e.slot
 	}
-	clear(kept) // drop the buffer's slot references until the next eviction
+	clear(kept) // drop the buffer's profile references until the next eviction
 	mc.kept = kept
 	clear(mc.bases)
 	clear(mc.mems)
 }
 
-// insertLocked stores dst (parallel to kernels) in key's slot, evicting
-// other shapes first when the new profiles would exceed the bound. A kernel
-// the slot already holds keeps its profile, which replaces dst's, so every
-// caller replays one canonical pointer. A shape whose profiles alone exceed
-// the bound is left uncached. Called with mu held for writing.
-func (mc *MemoCache) insertLocked(key accel.ShapeKey, kernels []nn.KernelID, dst []*accel.ShapeProfile) {
+// insertLocked stores dst (parallel to kernels) in key's slot, first
+// evicting other shapes when the new profiles would exceed the bound. A
+// kernel the slot already holds keeps its profile, which replaces dst's, so
+// every caller replays one canonical pointer. A shape whose profiles alone
+// would exceed the bound is left uncached and the cache as it was. Called
+// with mu held for writing.
+func (mc *MemoCache) insertLocked(key accel.ShapeKey, kernels []int, dst []*accel.ShapeProfile) {
 	s := mc.m[key]
-	if s == nil {
-		s = &memoSlot{profiles: make([]*accel.ShapeProfile, 0, len(kernels))}
-	}
 	add := 0
-	for i, id := range kernels {
-		if s.find(id, i) == nil {
+	for _, k := range kernels {
+		if s.p[k] == nil {
 			add++
 		}
 	}
-	for mc.n+add > mc.max && mc.n > len(s.profiles) {
-		mc.evictLocked(s)
-	}
-	if mc.n+add > mc.max {
+	if s.n+add > mc.max {
 		return
 	}
-	for i, id := range kernels {
-		if sp := s.find(id, i); sp != nil {
-			dst[i] = sp
+	for mc.n+add > mc.max {
+		mc.evictLocked(key)
+	}
+	ck, mk := key.ComputeKey(), key.MemKey()
+	base, mem := mc.bases[ck], mc.mems[mk]
+	for i, k := range kernels {
+		if s.p[k] != nil {
+			dst[i] = s.p[k]
 			continue
 		}
-		s.profiles = append(s.profiles, dst[i])
+		s.p[k], base[k], mem[k] = dst[i], dst[i], dst[i]
+		s.n++
 		mc.n++
 	}
-	mc.m[key], mc.bases[key.ComputeKey()], mc.mems[key.MemKey()] = s, s, s
+	mc.m[key], mc.bases[ck], mc.mems[mk] = s, base, mem
 }
 
 // Profile returns the shape profile of kernel id on configuration c,
 // computing and caching it on first use. The returned profile is shared and
 // immutable; callers replay it with ShapeProfile.Cost.
 func (mc *MemoCache) Profile(c accel.Config, id nn.KernelID) (*accel.ShapeProfile, error) {
+	k, ok := nn.KernelIndex(id)
+	if !ok {
+		return c.ShapeProfile(id) // reports the unknown kernel
+	}
 	var dst [1]*accel.ShapeProfile
-	err := mc.Profiles(c, []nn.KernelID{id}, dst[:])
+	err := mc.Profiles(c, []int{k}, dst[:])
 	return dst[0], err
 }
 
-// Profiles fills dst (parallel to kernels) with the shape profiles of every
-// kernel on configuration c — the batched lookup the engine's per-shape hot
-// path rides. A full hit is one read-locked map lookup and allocates
-// nothing. Missing profiles are computed outside the lock, from cached
-// siblings of another SRAM size or MAC count when there are, and inserted
-// with one write-lock round-trip. Hits and misses count kernels.
-func (mc *MemoCache) Profiles(c accel.Config, kernels []nn.KernelID, dst []*accel.ShapeProfile) error {
+// Profiles fills dst (parallel to kernels, each a canonical index — see
+// nn.KernelIndex) with the shape profiles of every kernel on configuration
+// c: the batched lookup the engine's per-shape hot path rides. A full hit
+// is one read-locked map lookup and allocates nothing. Missing profiles are
+// computed outside the lock, from cached siblings of another SRAM size or
+// MAC count when there are, and inserted with one write-lock round-trip.
+// Hits and misses count kernels.
+func (mc *MemoCache) Profiles(c accel.Config, kernels []int, dst []*accel.ShapeProfile) error {
 	key := c.ShapeKey()
-
-	missing := 0
 	mc.mu.RLock()
 	s := mc.m[key]
-	for i, id := range kernels {
-		dst[i] = s.find(id, i)
-		if dst[i] == nil {
+	mc.mu.RUnlock()
+	missing := 0
+	for i, k := range kernels {
+		if dst[i] = s.p[k]; dst[i] == nil {
 			missing++
 		}
 	}
-	mc.mu.RUnlock()
 	mc.hits.Add(int64(len(kernels) - missing))
 	if missing == 0 {
 		return nil
 	}
 	mc.misses.Add(int64(missing))
 
-	ck, mk := key.ComputeKey(), key.MemKey()
-	for i, id := range kernels {
+	mc.mu.RLock()
+	base, mem := mc.bases[key.ComputeKey()], mc.mems[key.MemKey()]
+	mc.mu.RUnlock()
+	for i, k := range kernels {
 		if dst[i] != nil {
 			continue
 		}
-		mc.mu.RLock()
-		base, mem := mc.bases[ck].find(id, i), mc.mems[mk].find(id, i)
-		mc.mu.RUnlock()
-		sp, err := c.ShapeProfileFrom(id, base, mem)
+		sp, err := c.ShapeProfileFrom(nn.KernelAt(k), base[k], mem[k])
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,19 @@ import (
 	"cordoba/internal/units"
 )
 
+// kernelIdx resolves kernels to their canonical indices.
+func kernelIdx(ids ...nn.KernelID) []int {
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		k, ok := nn.KernelIndex(id)
+		if !ok {
+			panic("unknown kernel " + id)
+		}
+		out[i] = k
+	}
+	return out
+}
+
 // memoTestConfigs returns n configurations with n distinct shape keys.
 func memoTestConfigs(n int) []accel.Config {
 	out := make([]accel.Config, n)
@@ -77,9 +90,10 @@ func TestMemoProfilesBatchedLookup(t *testing.T) {
 	mc := NewMemoCache(0)
 	cfg := accel.New("m", 16, 4*units.MiB)
 	kernels := []nn.KernelID{nn.RN18, nn.RN50, nn.GN}
+	idx := kernelIdx(kernels...)
 
 	dst := make([]*accel.ShapeProfile, len(kernels))
-	if err := mc.Profiles(cfg, kernels, dst); err != nil {
+	if err := mc.Profiles(cfg, idx, dst); err != nil {
 		t.Fatal(err)
 	}
 	for i, id := range kernels {
@@ -98,7 +112,7 @@ func TestMemoProfilesBatchedLookup(t *testing.T) {
 	// A second batched pass is a full hit: no new misses, no allocations.
 	_, missesBefore := mc.Stats()
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := mc.Profiles(cfg, kernels, dst); err != nil {
+		if err := mc.Profiles(cfg, idx, dst); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -128,7 +142,7 @@ func TestMemoChurnKeepsTableBounded(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	kernels, dst := []nn.KernelID{nn.RN18}, []*accel.ShapeProfile{sp}
+	kernels, dst := kernelIdx(nn.RN18), []*accel.ShapeProfile{sp}
 	insert := func(mc *MemoCache, from, n int) {
 		for i := from; i < from+n; i++ {
 			mc.insertLocked(accel.ShapeKey{MACArrays: i + 1}, kernels, dst)
@@ -159,7 +173,7 @@ func TestMemoChurnKeepsTableBounded(t *testing.T) {
 // SRAM-independent half (each one slice fewer than a cold miss); the result
 // replays exactly like a profile built from scratch.
 func TestMemoMissBuildsFromSibling(t *testing.T) {
-	kernels := []nn.KernelID{nn.SR512}
+	kernels := kernelIdx(nn.SR512)
 	dst := make([]*accel.ShapeProfile, 1)
 	missAllocs := func(cfgAt func(i int) accel.Config) float64 {
 		mc := NewMemoCache(0)
@@ -204,6 +218,78 @@ func TestMemoMissBuildsFromSibling(t *testing.T) {
 			t.Fatalf("profile built from siblings %v replays %+v, direct %+v", siblings, got, want)
 		}
 	}
+
+	// A shared memo serves tasks with different kernels. Shapes filled by
+	// another task's kernel since under the same compute or memory key must
+	// not hide this kernel's siblings: the miss still shares both halves.
+	mallocs := func(f func()) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	lookup := func(mc *MemoCache, cfg accel.Config, kernels []int) {
+		if err := mc.Profiles(cfg, kernels, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other := kernelIdx(nn.RN18)
+	mc := NewMemoCache(0)
+	lookup(mc, accel.New("", 16, units.MB(3)), kernels)
+	lookup(mc, accel.New("", 16, units.MB(5)), other) // same compute key
+	lookup(mc, accel.New("", 8, units.MB(7)), kernels)
+	lookup(mc, accel.New("", 12, units.MB(7)), other) // same memory key
+	shared := mallocs(func() { lookup(mc, c, kernels) })
+	if got := dst[0].Cost(c); got != want {
+		t.Fatalf("profile built from siblings across tasks replays %+v, direct %+v", got, want)
+	}
+	coldMemo := NewMemoCache(0)
+	lookup(coldMemo, accel.New("", 24, units.MB(9)), other)
+	coldOnce := mallocs(func() { lookup(coldMemo, c, kernels) })
+	if shared+2 > coldOnce {
+		t.Fatalf("a miss with both halves cached across another task's shapes allocates %d objects, a cold miss %d; want two slices fewer", shared, coldOnce)
+	}
+}
+
+// TestMemoShapeOverBoundLeftUncached: a shape whose kernels alone exceed
+// the bound is returned uncached and leaves the cache as it was, instead of
+// evicting every other shape and then caching nothing.
+func TestMemoShapeOverBoundLeftUncached(t *testing.T) {
+	const max = 4
+	mc := NewMemoCache(max)
+	cfgs := memoTestConfigs(3)
+	two := kernelIdx(nn.RN18, nn.RN50)
+	dst := make([]*accel.ShapeProfile, nn.NumKernels)
+	for _, c := range cfgs[:2] {
+		if err := mc.Profiles(c, two, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := kernelIdx(nn.AllKernels()...)
+	for round := 0; round < 3; round++ {
+		if err := mc.Profiles(cfgs[2], all, dst); err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range nn.AllKernels() {
+			if dst[i] == nil || dst[i].Kernel != id || dst[i].Key != cfgs[2].ShapeKey() {
+				t.Fatalf("dst[%d] = %+v, want the profile of %s on the requested shape", i, dst[i], id)
+			}
+		}
+	}
+	if n, ev := mc.Len(), mc.Evictions(); n != max || ev != 0 {
+		t.Fatalf("Len() = %d, Evictions() = %d after over-bound requests; want %d and 0", n, ev, max)
+	}
+	_, misses := mc.Stats()
+	for _, c := range cfgs[:2] {
+		if err := mc.Profiles(c, two, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, m := mc.Stats(); m != misses {
+		t.Fatalf("the cached shapes missed after over-bound requests (%d → %d)", misses, m)
+	}
 }
 
 // TestMemoFullHitAllocatesNothing: a full hit is one map lookup per shape,
@@ -216,13 +302,14 @@ func TestMemoFullHitAllocatesNothing(t *testing.T) {
 	reversed := slices.Clone(kernels)
 	slices.Reverse(reversed)
 	dst := make([]*accel.ShapeProfile, len(kernels))
-	if err := mc.Profiles(cfg, kernels, dst); err != nil {
+	if err := mc.Profiles(cfg, kernelIdx(kernels...), dst); err != nil {
 		t.Fatal(err)
 	}
 	for _, order := range [][]nn.KernelID{kernels, reversed} {
+		idx := kernelIdx(order...)
 		_, missesBefore := mc.Stats()
 		allocs := testing.AllocsPerRun(20, func() {
-			if err := mc.Profiles(cfg, order, dst); err != nil {
+			if err := mc.Profiles(cfg, idx, dst); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -246,8 +333,8 @@ func TestMemoFullHitAllocatesNothing(t *testing.T) {
 // each profile. Eviction picks shapes at random, so the scenario repeats.
 func TestMemoBoundHoldsWhenShapeGrows(t *testing.T) {
 	const max = 6
-	two := []nn.KernelID{nn.RN18, nn.RN50}
-	four := []nn.KernelID{nn.RN18, nn.RN50, nn.GN, nn.SR512}
+	two := kernelIdx(nn.RN18, nn.RN50)
+	four := kernelIdx(nn.RN18, nn.RN50, nn.GN, nn.SR512)
 	cfgs := memoTestConfigs(3)
 	for round := 0; round < 20; round++ {
 		mc := NewMemoCache(max)
@@ -271,7 +358,11 @@ func TestMemoBoundHoldsWhenShapeGrows(t *testing.T) {
 		}
 		held := 0
 		for _, s := range mc.m {
-			held += len(s.profiles)
+			for _, sp := range s.p {
+				if sp != nil {
+					held++
+				}
+			}
 		}
 		if n := mc.Len(); n > max || n != held {
 			t.Fatalf("cache counts %d profiles and holds %d after a cached shape grew, bound is %d", n, held, max)
@@ -315,7 +406,7 @@ func TestMemoInsertKeepsFirstProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	mc := NewMemoCache(0)
-	kernels := []nn.KernelID{nn.RN18}
+	kernels := kernelIdx(nn.RN18)
 	mc.insertLocked(c.ShapeKey(), kernels, []*accel.ShapeProfile{a})
 	dst := []*accel.ShapeProfile{b}
 	mc.insertLocked(c.ShapeKey(), kernels, dst)

@@ -211,18 +211,17 @@ func newEvalScratch(se *shapeEval) *evalScratch {
 }
 
 // kernelUnion returns the kernels referenced by any task, in the canonical
-// nn.AllKernels order.
-func kernelUnion(tasks []workload.Task) []nn.KernelID {
-	var out []nn.KernelID
-	for _, id := range nn.AllKernels() {
+// nn.AllKernels order, and their canonical indices.
+func kernelUnion(tasks []workload.Task) (ids []nn.KernelID, idx []int) {
+	for i, id := range nn.AllKernels() {
 		for _, t := range tasks {
 			if _, ok := t.Calls[id]; ok {
-				out = append(out, id)
+				ids, idx = append(ids, id), append(idx, i)
 				break
 			}
 		}
 	}
-	return out
+	return ids, idx
 }
 
 // EvaluateStream explores a knob grid for one task with the streaming
@@ -255,12 +254,13 @@ func EvaluateStreamTasks(ctx context.Context, tasks []workload.Task, g Grid, fab
 }
 
 // shapeEval is one run's read-only evaluation context, shared by its
-// workers: the grid (nil for a configuration list), the kernel union, and
-// each task's call counts resolved once against the union
-// (workload.Task.Terms).
+// workers: the grid (nil for a configuration list), the kernel union with
+// its canonical indices (the memo's slot positions), and each task's call
+// counts resolved once against the union (workload.Task.Terms).
 type shapeEval struct {
 	cg      *compiledGrid
 	kernels []nn.KernelID
+	kidx    []int             // canonical index of each kernel of the union
 	terms   [][]workload.Term // per task
 	memo    *MemoCache
 	fab     carbon.Fab
@@ -268,7 +268,8 @@ type shapeEval struct {
 }
 
 func newShapeEval(cg *compiledGrid, tasks []workload.Task, memo *MemoCache, fab carbon.Fab, yield carbon.YieldModel) (*shapeEval, error) {
-	se := &shapeEval{cg: cg, kernels: kernelUnion(tasks), terms: make([][]workload.Term, len(tasks)), memo: memo, fab: fab, yield: yield}
+	se := &shapeEval{cg: cg, terms: make([][]workload.Term, len(tasks)), memo: memo, fab: fab, yield: yield}
+	se.kernels, se.kidx = kernelUnion(tasks)
 	for ti, task := range tasks {
 		terms, err := task.Terms(se.kernels)
 		if err != nil {
@@ -337,7 +338,7 @@ func evalShape(se *shapeEval, si int, sc *evalScratch, buffers [][]Point) error 
 // classes in one pass (accel.Replay).
 func (se *shapeEval) priceShape(shape accel.Config, sc *evalScratch) error {
 	cg := se.cg
-	if err := se.memo.Profiles(shape, se.kernels, sc.kprof); err != nil {
+	if err := se.memo.Profiles(shape, se.kidx, sc.kprof); err != nil {
 		return err
 	}
 	if sc.pricing == nil {
@@ -375,7 +376,7 @@ func (se *shapeEval) priceShape(shape accel.Config, sc *evalScratch) error {
 // evaluator price every point here. The caller must have validated cfg:
 // a memo hit skips the validation a miss performs.
 func (se *shapeEval) pricePoint(cfg accel.Config, model carbon.Model, modelName string, proc carbon.Process, sc *evalScratch) (Point, error) {
-	if err := se.memo.Profiles(cfg, se.kernels, sc.kprof); err != nil {
+	if err := se.memo.Profiles(cfg, se.kidx, sc.kprof); err != nil {
 		return Point{}, err
 	}
 	emb, err := cfg.EmbodiedWith(model, se.yield, proc, se.fab)

@@ -34,12 +34,29 @@ var allKernels = [...]KernelID{
 	EFAN, JLP, UNet, DN, SR256, SR512, SR1024,
 }
 
+// NumKernels is the number of kernels; a kernel's index in the canonical
+// order is in [0, NumKernels).
+const NumKernels = len(allKernels)
+
 // AllKernels returns every kernel ID in a stable order.
 func AllKernels() []KernelID {
 	out := make([]KernelID, len(allKernels))
 	copy(out, allKernels[:])
 	return out
 }
+
+// KernelIndex returns id's index in the canonical AllKernels order.
+func KernelIndex(id KernelID) (int, bool) {
+	for i, k := range allKernels {
+		if k == id {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// KernelAt returns the kernel at canonical index i.
+func KernelAt(i int) KernelID { return allKernels[i] }
 
 var (
 	kernelMu    sync.Mutex
