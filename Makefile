@@ -33,14 +33,17 @@ bench:
 bench-server:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateParallel|BenchmarkServerDSE' -benchmem .
 
-# Guard the streaming-engine and window-search speedups: fail on a >2x ns/op
-# regression — or a >1.3x B/op or allocs/op regression — against the
-# checked-in baseline. Regenerate after an intentional perf change with
-# `make bench-baseline` and review the diff (-update merges per-package runs
-# into the shared baseline).
+# Guard the streaming-engine and window-search speedups and the job's
+# checkpoint encode: fail on a >2x ns/op regression — or a >1.3x B/op or
+# allocs/op regression — against the checked-in baseline. Every gate reads
+# the median of five runs: one run in a fresh process times and counts
+# one-time set-up as part of the work. Regenerate after an intentional perf
+# change with `make bench-baseline` and review the diff (-update merges
+# per-package runs into the shared baseline).
 bench-check:
-	$(GO) test -run '^$$' -bench BenchmarkStreamingDSE -benchtime 1x -benchmem . | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
-	$(GO) test -run '^$$' -bench BenchmarkScheduleWindow -benchtime 1x -benchmem ./internal/sched | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
+	$(GO) test -run '^$$' -bench BenchmarkStreamingDSE -benchtime 1x -count 5 -benchmem . | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
+	$(GO) test -run '^$$' -bench BenchmarkScheduleWindow -benchtime 1x -count 5 -benchmem ./internal/sched | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
+	$(GO) test -run '^$$' -bench BenchmarkStreamCheckpointEncode -count 5 -benchmem ./internal/dse | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
 
 # Guard the surrogate search's reason to exist: on the 105k-point reference
 # grid it must stay at least 3x faster than exhaustive streaming in the same
@@ -56,17 +59,18 @@ bench-surrogate:
 # acceptance grid, the same grid fanned out across three in-process workers
 # (the delta over `single` is the coordinator's whole fan-out overhead —
 # dispatch, polling, envelope decode, merge), and the isolated merge path,
-# gated on the median of five runs because one sample of it flaps.
+# each gated on the median of five runs because one sample of them flaps.
 bench-cluster:
-	$(GO) test -run '^$$' -bench BenchmarkClusterDSE -benchtime 1x -benchmem ./internal/cluster | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
+	$(GO) test -run '^$$' -bench BenchmarkClusterDSE -benchtime 1x -count 5 -benchmem ./internal/cluster | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
 	$(GO) test -run '^$$' -bench BenchmarkClusterMerge -benchtime 100x -count 5 -benchmem ./internal/cluster | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
 
 # Guard the partition axis: widening a grid with the chiplet knobs (12x the
 # cells of its flat projection) must keep pricing through the shared
 # per-(shape, embodied-class) path, so time, B/op, and allocs/op on both the
-# flat and partitioned runs are gated against the checked-in baseline.
+# flat and partitioned runs are gated against the checked-in baseline, on
+# the median of five runs.
 bench-partition:
-	$(GO) test -run '^$$' -bench BenchmarkPartitionDSE -benchtime 1x -benchmem . | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
+	$(GO) test -run '^$$' -bench BenchmarkPartitionDSE -benchtime 1x -count 5 -benchmem . | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
 
 # Guard the fair-share scheduler's hot path: one weighted pick + requeue
 # over a populated 32-tenant queue must stay fast and allocation-light —
@@ -75,11 +79,12 @@ bench-queue:
 	$(GO) test -run '^$$' -bench BenchmarkFairShareDequeue -benchtime 100x -benchmem ./internal/job | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
 
 bench-baseline:
-	$(GO) test -run '^$$' -bench BenchmarkStreamingDSE -benchtime 1x -benchmem . | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
+	$(GO) test -run '^$$' -bench BenchmarkStreamingDSE -benchtime 1x -count 5 -benchmem . | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
 	$(GO) test -run '^$$' -bench BenchmarkSurrogateDSE -benchtime 1x -count 5 -benchmem . | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
-	$(GO) test -run '^$$' -bench BenchmarkPartitionDSE -benchtime 1x -benchmem . | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
-	$(GO) test -run '^$$' -bench BenchmarkScheduleWindow -benchtime 1x -benchmem ./internal/sched | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
-	$(GO) test -run '^$$' -bench BenchmarkClusterDSE -benchtime 1x -benchmem ./internal/cluster | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
+	$(GO) test -run '^$$' -bench BenchmarkPartitionDSE -benchtime 1x -count 5 -benchmem . | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
+	$(GO) test -run '^$$' -bench BenchmarkScheduleWindow -benchtime 1x -count 5 -benchmem ./internal/sched | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
+	$(GO) test -run '^$$' -bench BenchmarkStreamCheckpointEncode -count 5 -benchmem ./internal/dse | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
+	$(GO) test -run '^$$' -bench BenchmarkClusterDSE -benchtime 1x -count 5 -benchmem ./internal/cluster | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
 	$(GO) test -run '^$$' -bench BenchmarkClusterMerge -benchtime 100x -count 5 -benchmem ./internal/cluster | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
 	$(GO) test -run '^$$' -bench BenchmarkFairShareDequeue -benchtime 100x -benchmem ./internal/job | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
 

@@ -307,7 +307,7 @@ func (c Config) TotalMACs() int { return c.MACArrays * MACsPerArray }
 
 // sramEnergyPerByte returns the per-byte access energy of the activation
 // memory, accounting for capacity and 3D stacking.
-func (c Config) sramEnergyPerByte() units.Energy {
+func (c *Config) sramEnergyPerByte() units.Energy {
 	mb := c.SRAM.InMB()
 	e := c.Params.SRAMEnergyBase + c.Params.SRAMEnergySlope*units.Energy(math.Sqrt(mb))
 	if c.Is3D || c.Partition.is3D() {
@@ -317,7 +317,7 @@ func (c Config) sramEnergyPerByte() units.Energy {
 }
 
 // dramBandwidth returns the effective processor–memory bandwidth.
-func (c Config) dramBandwidth() units.Bandwidth {
+func (c *Config) dramBandwidth() units.Bandwidth {
 	if c.Is3D || c.Partition.is3D() {
 		return c.Params.DRAMBW * units.Bandwidth(c.Params.DRAM3DBWScale)
 	}
@@ -335,7 +335,7 @@ type d2dCost struct {
 
 // d2d resolves the partition's interconnect pricing; ok is false for
 // monolithic configurations, which keep the exact legacy cost path.
-func (c Config) d2d() (d2dCost, bool) {
+func (c *Config) d2d() (d2dCost, bool) {
 	if !c.Partition.Active() {
 		return d2dCost{}, false
 	}
@@ -374,7 +374,7 @@ func (lc LayerCost) Energy() units.Energy {
 }
 
 // utilization returns the MAC-array utilization for a layer kind.
-func (c Config) utilization(kind nn.OpKind) float64 {
+func (c *Config) utilization(kind nn.OpKind) float64 {
 	switch kind {
 	case nn.OpConv:
 		return c.Params.ConvUtil
@@ -457,7 +457,7 @@ func (c *Config) layerMem(l *nn.Layer) layerMem {
 // energy parameters. LayerCost and ShapeProfile.Cost both go through this
 // helper so the direct and memoized paths cannot drift — their results are
 // bit-identical by construction.
-func (c Config) layerCostOf(ls layerShape) LayerCost {
+func (c *Config) layerCostOf(ls layerShape) LayerCost {
 	var lc LayerCost
 	if ls.macs > 0 {
 		eff := ls.effBase * c.Params.Clock.Hertz()

@@ -147,11 +147,9 @@ type memPricing struct {
 	cut    bool
 }
 
-// Pricing resolves the configuration's pricing inputs.
-func (c Config) Pricing() Pricing { return c.pricing() }
-
-// pricing is Pricing without copying the configuration.
-func (c *Config) pricing() Pricing {
+// Pricing resolves the configuration's pricing inputs. It takes a pointer,
+// as do the unexported helpers it calls: a Config is several hundred bytes.
+func (c *Config) Pricing() Pricing {
 	d2, cut := c.d2d()
 	return Pricing{
 		clk:    c.Params.Clock.Hertz(),
@@ -245,7 +243,14 @@ func price(macs float64, sram units.Bytes, ct, mdt units.Time, dramE, d2dE units
 // (computeTime, memPricing.terms, price), fused into one pass because a
 // single cell has nothing to share between pricings.
 func (sp *ShapeProfile) Cost(c Config) workload.KernelCost {
-	p := c.pricing()
+	p := c.Pricing()
+	return sp.CostUnder(&p)
+}
+
+// CostUnder is Cost under an already resolved Pricing, for per-point paths
+// that price every kernel of a task under one configuration: they resolve
+// its Pricing once instead of once per kernel.
+func (sp *ShapeProfile) CostUnder(p *Pricing) workload.KernelCost {
 	k, clk := p.consts(), p.clk
 	var kc workload.KernelCost
 	mem := sp.mem[:len(sp.compute)]

@@ -164,12 +164,12 @@ func TestSurrogateScratchSkipsBatchBuffers(t *testing.T) {
 	}
 	sc := newEvalScratch(se)
 	for id := int64(0); id < cg.size(); id += 7 {
-		if _, err := sgEval(se, id, sc); err != nil {
+		if _, err := se.priceAt(id, 0, sc); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if sc.table != nil || sc.column != nil || sc.pricing != nil || !reflect.ValueOf(sc.replay).IsZero() {
-		t.Fatal("sgEval grew the batched-replay buffers")
+		t.Fatal("priceAt grew the batched-replay buffers")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,14 +18,17 @@ import (
 )
 
 // AccState is a serializable snapshot of one task's accumulator: the envelope
-// state, the payloads of the currently surviving points (parallel to
-// Envelope.IDs), and the space-wide sufficient statistics. Every field
-// round-trips exactly through JSON — encoding/json renders float64 in the
-// shortest form that parses back to the same bits — so a restored accumulator
-// continues bit-identically to the original.
+// state and the space-wide sufficient statistics. The surviving points are
+// stored by identity only — their envelope IDs — because the grid re-derives
+// each one exactly; restore re-prices them and refuses a snapshot whose
+// stored coordinates disagree. Every field round-trips exactly through JSON
+// (encoding/json renders float64 in the shortest form that parses back to
+// the same bits), so a restored accumulator continues bit-identically to the
+// original. Snapshots written before survivors were stored as IDs carry a
+// "survivors" array too; decoding ignores it, and they resume through the
+// same re-pricing.
 type AccState struct {
 	Envelope  pareto.StreamState `json:"envelope"`
-	Survivors []Point            `json:"survivors"`
 	SumEDP    float64            `json:"sum_edp"`
 	SumEmbD   float64            `json:"sum_embd"`
 	Total     int64              `json:"total"`
@@ -37,14 +41,8 @@ type AccState struct {
 func (a *taskAcc) snapshot() AccState {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	env := a.stream.Snapshot()
-	surv := make([]Point, len(env.IDs))
-	for i, id := range env.IDs {
-		surv[i] = a.payload[id]
-	}
 	return AccState{
-		Envelope:  env,
-		Survivors: surv,
+		Envelope:  a.stream.Snapshot(),
 		SumEDP:    a.sumEDP,
 		SumEmbD:   a.sumEmbD,
 		Total:     a.total,
@@ -52,13 +50,16 @@ func (a *taskAcc) snapshot() AccState {
 	}
 }
 
-// restore replaces the accumulator's state with a snapshot. The envelope's
-// own Restore validates the geometric invariants; the checks here cover the
-// payload/statistics bookkeeping layered on top.
-func (a *taskAcc) restore(st AccState) error {
-	if len(st.Survivors) != len(st.Envelope.IDs) {
-		return fmt.Errorf("dse: snapshot has %d survivors but %d envelope ids", len(st.Survivors), len(st.Envelope.IDs))
-	}
+// restore replaces the accumulator's state with a snapshot of task ti of
+// the run se evaluates, whose envelope IDs the caller has checked lie on
+// the grid. The envelope's own Restore validates the geometric invariants;
+// each survivor is then re-priced from its envelope ID (shapeEval.priceAt)
+// and stamped with its grid ID as offerLocked does. A survivor whose
+// re-priced E·D or C_emb·D differs bit for bit from its stored envelope
+// point fails the restore: the envelope would otherwise keep coordinates
+// no point of the grid has, and the resumed run would diverge from the
+// uninterrupted one.
+func (a *taskAcc) restore(st AccState, se *shapeEval, ti int, sc *evalScratch) error {
 	if st.Total < 0 || st.PrePruned < 0 || st.PrePruned > st.Total {
 		return fmt.Errorf("dse: snapshot counters corrupt: total %d, pre-pruned %d", st.Total, st.PrePruned)
 	}
@@ -69,13 +70,23 @@ func (a *taskAcc) restore(st AccState) error {
 	if err := s.Restore(st.Envelope); err != nil {
 		return err
 	}
+	payload := make(map[int64]Point, len(st.Envelope.IDs))
+	for i, id := range st.Envelope.IDs {
+		pt, err := se.priceAt(id, ti, sc)
+		if err != nil {
+			return err
+		}
+		got, want := pt.objectives(), st.Envelope.Points[i]
+		if math.Float64bits(got.X) != math.Float64bits(want.X) || math.Float64bits(got.Y) != math.Float64bits(want.Y) {
+			return fmt.Errorf("dse: snapshot survivor %d (id %d) stores (%g, %g), its re-pricing gives (%g, %g)", i, id, want.X, want.Y, got.X, got.Y)
+		}
+		pt.Config.ID = gridPointID(id)
+		payload[id] = pt
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stream = s
-	a.payload = make(map[int64]Point, len(st.Survivors))
-	for i, id := range st.Envelope.IDs {
-		a.payload[id] = st.Survivors[i]
-	}
+	a.payload = payload
 	a.sumEDP = st.SumEDP
 	a.sumEmbD = st.SumEmbD
 	a.total = st.Total
@@ -280,6 +291,10 @@ func EvaluateStreamCheckpointedTasks(ctx context.Context, tasks []workload.Task,
 		lo, hi = sh.First, sh.First+sh.Count
 	}
 
+	se, err := newShapeEval(cg, tasks, memo, fab, opt.Yield)
+	if err != nil {
+		return nil, err
+	}
 	accs := make([]*taskAcc, len(tasks))
 	for i := range accs {
 		accs[i] = &taskAcc{payload: make(map[int64]Point)}
@@ -289,18 +304,15 @@ func EvaluateStreamCheckpointedTasks(ctx context.Context, tasks []workload.Task,
 		if err := cp.validate(fp, cg, len(tasks), lo, hi); err != nil {
 			return nil, err
 		}
+		sc := newEvalScratch(se)
 		for i := range accs {
-			if err := accs[i].restore(cp.Accs[i]); err != nil {
+			if err := accs[i].restore(cp.Accs[i], se, i, sc); err != nil {
 				return nil, fmt.Errorf("dse: checkpoint task %d: %w", i, err)
 			}
 		}
 		start = cp.NextShape
 	}
 
-	se, err := newShapeEval(cg, tasks, memo, fab, opt.Yield)
-	if err != nil {
-		return nil, err
-	}
 	workers := opt.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)

@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
+	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -235,18 +238,42 @@ func TestCheckpointValidateRejectsCorrupt(t *testing.T) {
 		"acc count":        func(c *StreamCheckpoint) { c.Accs = nil },
 		"total mismatch":   func(c *StreamCheckpoint) { c.Accs[0].Total++ },
 		"offered mismatch": func(c *StreamCheckpoint) { c.Accs[0].Envelope.Offered++ },
-		"survivor count":   func(c *StreamCheckpoint) { c.Accs[0].Survivors = c.Accs[0].Survivors[:0] },
 		"id out of prefix": func(c *StreamCheckpoint) { c.Accs[0].Envelope.IDs[0] = int64(c.Shapes) * 1000 },
 	}
+	// Survivors are stored as IDs and re-priced on resume: an envelope
+	// point that disagrees with its ID's re-pricing must be refused by that
+	// check, not resumed into a different envelope.
+	repriced := map[string]func(c *StreamCheckpoint){
+		"envelope X one ulp off": func(c *StreamCheckpoint) {
+			pts := c.Accs[0].Envelope.Points
+			pts[len(pts)-1].X = math.Nextafter(pts[len(pts)-1].X, math.Inf(1))
+		},
+		"survivor id re-prices differently": func(c *StreamCheckpoint) {
+			env := &c.Accs[0].Envelope
+			for id := int64(0); ; id++ {
+				if !slices.Contains(env.IDs, id) {
+					env.IDs[0] = id
+					return
+				}
+			}
+		},
+	}
 	for name, mutate := range corrupt {
+		repriced[name] = mutate
+	}
+	for name, mutate := range repriced {
 		var c StreamCheckpoint
 		b, _ := json.Marshal(cp)
 		if err := json.Unmarshal(b, &c); err != nil {
 			t.Fatal(err)
 		}
 		mutate(&c)
-		if err := resume(c); err == nil {
+		err := resume(c)
+		switch {
+		case err == nil:
 			t.Errorf("%s: corrupt checkpoint accepted", name)
+		case corrupt[name] == nil && !strings.Contains(err.Error(), "re-pricing"):
+			t.Errorf("%s: rejected by another check than the re-pricing: %v", name, err)
 		}
 	}
 }
@@ -297,7 +324,8 @@ func TestCheckpointProgress(t *testing.T) {
 }
 
 // TestCheckpointMultiTask covers the multi-accumulator path: every task
-// resumes bit-identically from a shared checkpoint.
+// resumes bit-identically from every checkpoint of a shared run, each
+// round-tripped through JSON as the job store does.
 func TestCheckpointMultiTask(t *testing.T) {
 	tasks := []workload.Task{paperTask(t, "All kernels"), paperTask(t, "AI (10 kernels)")}
 	g := ckptGrid()
@@ -307,24 +335,120 @@ func TestCheckpointMultiTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cp *StreamCheckpoint
+	var cps [][]byte
 	if _, err := EvaluateStreamCheckpointedTasks(context.Background(), tasks, g, carbon.FabCoal, 380, CheckpointOptions{
-		Every:        5,
-		OnCheckpoint: func(c *StreamCheckpoint) error { cp = c; return nil },
+		Every: 1,
+		OnCheckpoint: func(c *StreamCheckpoint) error {
+			if len(c.Accs) != len(tasks) {
+				t.Fatalf("checkpoint has %d accumulators, want %d", len(c.Accs), len(tasks))
+			}
+			b, err := json.Marshal(c)
+			cps = append(cps, b)
+			return err
+		},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if cp == nil || len(cp.Accs) != 2 {
-		t.Fatalf("expected a 2-task checkpoint, got %+v", cp)
+	cg, err := g.compile()
+	if err != nil {
+		t.Fatal(err)
 	}
-	resumed, err := EvaluateStreamCheckpointedTasks(context.Background(), tasks, g, carbon.FabCoal, 380, CheckpointOptions{
-		StreamOptions: StreamOptions{Workers: 3},
-		Resume:        cp,
-	})
+	if len(cps) != cg.shapes()-1 {
+		t.Fatalf("captured %d checkpoints, want one per interior shape (%d)", len(cps), cg.shapes()-1)
+	}
+	for _, b := range cps {
+		var cp StreamCheckpoint
+		if err := json.Unmarshal(b, &cp); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := EvaluateStreamCheckpointedTasks(context.Background(), tasks, g, carbon.FabCoal, 380, CheckpointOptions{
+			StreamOptions: StreamOptions{Workers: 3},
+			Resume:        &cp,
+		})
+		if err != nil {
+			t.Fatalf("resume from shape %d: %v", cp.NextShape, err)
+		}
+		for i := range tasks {
+			sameStreamResult(t, tasks[i].Name, resumed[i], full[i])
+		}
+	}
+}
+
+// TestCheckpointLegacySurvivors resumes a checkpoint written when
+// accumulator snapshots still stored every survivor's full point
+// ("survivors"). Decoding ignores the array; the survivors are re-priced
+// from their envelope IDs like any other checkpoint's, and the resumed run
+// matches an uninterrupted one bit for bit.
+func TestCheckpointLegacySurvivors(t *testing.T) {
+	b, err := os.ReadFile("testdata/legacy_checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy struct {
+		Accs []struct {
+			Survivors []json.RawMessage `json:"survivors"`
+		} `json:"accs"`
+	}
+	if err := json.Unmarshal(b, &legacy); err != nil {
+		t.Fatal(err)
+	}
+	if len(legacy.Accs) != 2 || len(legacy.Accs[0].Survivors) == 0 {
+		t.Fatalf("fixture is not a legacy two-task checkpoint: %d accumulators", len(legacy.Accs))
+	}
+	var cp StreamCheckpoint
+	if err := json.Unmarshal(b, &cp); err != nil {
+		t.Fatal(err)
+	}
+	tasks := []workload.Task{paperTask(t, "All kernels"), paperTask(t, "AI (10 kernels)")}
+	g := ckptGrid()
+	full, err := EvaluateStreamCheckpointedTasks(context.Background(), tasks, g, carbon.FabCoal, 380, CheckpointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := EvaluateStreamCheckpointedTasks(context.Background(), tasks, g, carbon.FabCoal, 380, CheckpointOptions{Resume: &cp})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range tasks {
 		sameStreamResult(t, tasks[i].Name, resumed[i], full[i])
+	}
+}
+
+// BenchmarkStreamCheckpointEncode is the checkpoint-encode layer of a job:
+// snapshot plus json.Marshal of the accumulator state halfway through the
+// 105k-point reference grid, what the engine hands OnCheckpoint every
+// CheckpointEvery shapes.
+func BenchmarkStreamCheckpointEncode(b *testing.B) {
+	task := paperTask(b, "All kernels")
+	g := refGrid105k()
+	cg, err := g.compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var mid *StreamCheckpoint
+	if _, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
+		Every: cg.shapes() / 2,
+		OnCheckpoint: func(cp *StreamCheckpoint) error {
+			mid = cp
+			return nil
+		},
+	}); err != nil {
+		b.Fatal(err)
+	}
+	se, err := newShapeEval(cg, []workload.Task{task}, NewMemoCache(0), carbon.FabCoal, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	acc := &taskAcc{}
+	if err := acc.restore(mid.Accs[0], se, 0, newEvalScratch(se)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cp := &StreamCheckpoint{Fingerprint: mid.Fingerprint, Shapes: mid.Shapes, NextShape: mid.NextShape, Accs: []AccState{acc.snapshot()}}
+		if _, err := json.Marshal(cp); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

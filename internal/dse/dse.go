@@ -44,10 +44,18 @@ type Point struct {
 }
 
 // EDP returns the point's energy-delay product.
-func (p Point) EDP() float64 { return p.Energy.Joules() * p.Delay.Seconds() }
+func (p Point) EDP() float64 { return p.objectives().X }
 
 // EmbodiedDelay returns C_emb·D, the Lagrange-plane Y coordinate.
-func (p Point) EmbodiedDelay() float64 { return p.Embodied.Grams() * p.Delay.Seconds() }
+func (p Point) EmbodiedDelay() float64 { return p.objectives().Y }
+
+// objectives returns the point's Lagrange-plane coordinates (X = E·D,
+// Y = C_emb·D), the values every envelope accumulator ranks it by. It takes
+// a pointer because the accumulators call it on every point of a batch: a
+// value receiver copies the whole Point, Config included, even inlined.
+func (p *Point) objectives() pareto.Point {
+	return pareto.Point{X: p.Energy.Joules() * p.Delay.Seconds(), Y: p.Embodied.Grams() * p.Delay.Seconds()}
+}
 
 // TCDP returns the point's total-carbon-delay product after n inferences at
 // use-phase intensity ci.
@@ -114,7 +122,7 @@ func Evaluate(ctx context.Context, task workload.Task, configs []accel.Config, p
 		if err := configs[i].Validate(); err != nil {
 			return Point{}, err
 		}
-		return se.pricePoint(configs[i], model, modelName, p, sc)
+		return se.pricePoint(&configs[i], model, modelName, p, 0, sc)
 	})
 	if err != nil {
 		return nil, err
@@ -145,8 +153,8 @@ func (s *Space) OptimalAt(n float64) int {
 // lagrangePoints maps the space onto the (E·D, C_emb·D) plane of §IV-B.
 func (s *Space) lagrangePoints() []pareto.Point {
 	pts := make([]pareto.Point, len(s.Points))
-	for i, p := range s.Points {
-		pts[i] = pareto.Point{X: p.EDP(), Y: p.EmbodiedDelay()}
+	for i := range s.Points {
+		pts[i] = s.Points[i].objectives()
 	}
 	return pts
 }

@@ -68,7 +68,7 @@ func MergeShardResults(results []*StreamResult) (*StreamResult, error) {
 				return nil, fmt.Errorf("dse: survivor id %d appears in two shards — shards must cover disjoint ranges", r.IDs[i])
 			}
 			payload[r.IDs[i]] = p
-			pts[i] = pareto.Point{X: p.EDP(), Y: p.EmbodiedDelay()}
+			pts[i] = p.objectives()
 		}
 		accepted, evicted := env.Merge(pareto.StreamState{Points: pts, IDs: append([]int64(nil), r.IDs...), Offered: r.Offered})
 		keep := make(map[int64]bool, len(accepted))

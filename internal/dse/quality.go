@@ -36,8 +36,8 @@ func envelopeFront(r *StreamResult) []pareto.Point {
 		return nil
 	}
 	out := make([]pareto.Point, len(r.Space.Points))
-	for i, p := range r.Space.Points {
-		out[i] = pareto.Point{X: p.EDP(), Y: p.EmbodiedDelay()}
+	for i := range r.Space.Points {
+		out[i] = r.Space.Points[i].objectives()
 	}
 	return out
 }

@@ -133,8 +133,8 @@ func (a *taskAcc) offerBatch(ids []int64, pts []Point) {
 // per-cell hot path never materializes ID strings.
 func (a *taskAcc) offerLocked(ids []int64, pts []Point) {
 	lp := a.lp[:0]
-	for _, p := range pts {
-		lp = append(lp, pareto.Point{X: p.EDP(), Y: p.EmbodiedDelay()})
+	for i := range pts {
+		lp = append(lp, pts[i].objectives())
 	}
 	a.lp = lp
 	front := a.fs.Front(lp)
@@ -179,18 +179,19 @@ func (a *taskAcc) result(task workload.Task, ci units.CarbonIntensity) *StreamRe
 
 // evalScratch is one worker's reusable evaluation state: the batched
 // memo-lookup buffer, one cell's kernel costs, the per-shape embodied
-// carbon memo (embodied depends only on the cell's (node, model,
-// area-ratio) equivalence class — V_DD never enters it — so each class is
-// priced once per shape instead of once per cell), and the batched
-// replay's pricings and [cost class][kernel] table. One scratch serves any
-// number of shapes; nothing escapes it, so the whole inner loop is
-// allocation-free after warm-up. The batch buffers are sized on the first
+// carbon and area memo (both depend only on the cell's (node, model,
+// area-ratio, partition) equivalence class — V_DD never enters them — so
+// each class is priced once per shape instead of once per cell), and the
+// batched replay's pricings and [cost class][kernel] table. One scratch
+// serves any number of shapes; nothing escapes it, so the whole inner loop
+// is allocation-free after warm-up. The batch buffers are sized on the first
 // evalShape, so a scratch that only serves pricePoint never grows them.
 type evalScratch struct {
 	kprof   []*accel.ShapeProfile // parallel to the kernel union
 	costs   []workload.KernelCost // one cell's kernel costs, parallel to the kernel union
 	embSeen []bool                // indexed by gridCell.embClass
 	emb     []units.Carbon
+	area    []units.Area
 
 	replay  accel.Replay
 	pricing []accel.Pricing       // indexed by cost class
@@ -206,6 +207,7 @@ func newEvalScratch(se *shapeEval) *evalScratch {
 	if se.cg != nil {
 		sc.embSeen = make([]bool, se.cg.embClasses)
 		sc.emb = make([]units.Carbon, se.cg.embClasses)
+		sc.area = make([]units.Area, se.cg.embClasses)
 	}
 	return sc
 }
@@ -286,9 +288,9 @@ func newShapeEval(cg *compiledGrid, tasks []workload.Task, memo *MemoCache, fab 
 // reset and filled in cell order — every value is bit-identical to the
 // direct path (the property suite holds them equal). Cells are enumerated
 // without IDs (gridPointID strings are stamped on envelope acceptance), and
-// embodied carbon is computed once per (shape, embodied-class) instead of
-// once per cell; with pre-sized buffers the loop allocates nothing in
-// steady state.
+// embodied carbon and area are computed once per (shape, embodied-class)
+// instead of once per cell; with pre-sized buffers the loop allocates
+// nothing in steady state.
 func evalShape(se *shapeEval, si int, sc *evalScratch, buffers [][]Point) error {
 	cg := se.cg
 	shape := cg.shapeConfig(si)
@@ -311,10 +313,10 @@ func evalShape(se *shapeEval, si int, sc *evalScratch, buffers [][]Point) error 
 				return err
 			}
 			sc.emb[cell.embClass] = emb
+			sc.area[cell.embClass] = cfg.TotalArea()
 			sc.embSeen[cell.embClass] = true
 		}
-		emb := sc.emb[cell.embClass]
-		area := cfg.TotalArea()
+		emb, area := sc.emb[cell.embClass], sc.area[cell.embClass]
 		leak := cfg.LeakagePower()
 		costs := sc.table[cell.costClass*len(se.kernels):][:len(se.kernels)]
 		for ti, terms := range se.terms {
@@ -366,36 +368,48 @@ func (se *shapeEval) priceShape(shape accel.Config, sc *evalScratch) error {
 	return nil
 }
 
-// pricePoint prices one configuration for the run's first task. The
+// pricePoint prices one configuration for task ti of the run. The
 // configuration's kernel profiles come from the memo (computed on first
-// use) and are replayed under it one at a time (accel.ShapeProfile.Cost,
-// the one-cell case of priceShape's batched replay), then folded through
-// the resolved task terms; embodied carbon comes from model and the run's
-// yield model under proc. Every value is bit-identical to the direct
-// per-layer path (evalPointAcct). The surrogate search and the list
-// evaluator price every point here. The caller must have validated cfg:
-// a memo hit skips the validation a miss performs.
-func (se *shapeEval) pricePoint(cfg accel.Config, model carbon.Model, modelName string, proc carbon.Process, sc *evalScratch) (Point, error) {
-	if err := se.memo.Profiles(cfg, se.kidx, sc.kprof); err != nil {
+// use) and are replayed under its pricing, resolved once, one kernel at a
+// time (accel.ShapeProfile.CostUnder, the one-cell case of priceShape's
+// batched replay), then folded through the task's resolved terms; embodied
+// carbon comes from model and the run's yield model under proc. Every value
+// is bit-identical to the direct per-layer path (evalPointAcct) and to
+// evalShape's cell. The list evaluator, the surrogate search and
+// checkpoint restores price here. The caller must have validated cfg: a
+// memo hit skips the validation a miss performs.
+func (se *shapeEval) pricePoint(cfg *accel.Config, model carbon.Model, modelName string, proc carbon.Process, ti int, sc *evalScratch) (Point, error) {
+	if err := se.memo.Profiles(*cfg, se.kidx, sc.kprof); err != nil {
 		return Point{}, err
 	}
 	emb, err := cfg.EmbodiedWith(model, se.yield, proc, se.fab)
 	if err != nil {
 		return Point{}, err
 	}
-	terms := se.terms[0]
+	terms := se.terms[ti]
+	pr := cfg.Pricing()
 	for _, tm := range terms {
-		sc.costs[tm.Slot] = sc.kprof[tm.Slot].Cost(cfg)
+		sc.costs[tm.Slot] = sc.kprof[tm.Slot].CostUnder(&pr)
 	}
 	cost := workload.Fold(terms, sc.costs, cfg.LeakagePower())
 	return Point{
-		Config:   cfg,
+		Config:   *cfg,
 		Delay:    cost.Delay,
 		Energy:   cost.Energy,
 		Embodied: emb,
 		Area:     cfg.TotalArea(),
 		Model:    modelName,
 	}, nil
+}
+
+// priceAt prices grid point id for task ti, anonymously (pricePoint over
+// compiledGrid.anonAt): the surrogate search evaluates its candidates here
+// and a checkpoint restore re-derives its survivors, so both are
+// bit-identical to the exhaustive walk's twin. Grid cells are valid by
+// construction (compile).
+func (se *shapeEval) priceAt(id int64, ti int, sc *evalScratch) (Point, error) {
+	cfg, cell := se.cg.anonAt(id)
+	return se.pricePoint(&cfg, cell.model, cell.modelName, cell.process, ti, sc)
 }
 
 // newWorkerScratch returns one evalScratch per evaluation worker: workers of

@@ -751,17 +751,6 @@ func (m *sgRBF) predict(space *sgSpace, idx [sgAxes]int) (x, y float64) {
 	return x, y
 }
 
-// ---- evaluation ----
-
-// sgEval prices one grid point exactly like the exhaustive engine
-// (pricePoint), so a surrogate-evaluated point is bit-identical to its
-// exhaustive twin, and anonymously: the archive stamps the ID of the points
-// it keeps. Grid cells are valid by construction (compile).
-func sgEval(se *shapeEval, id int64, sc *evalScratch) (Point, error) {
-	cfg, cell := se.cg.anonAt(id)
-	return se.pricePoint(cfg, cell.model, cell.modelName, cell.process, sc)
-}
-
 // EvaluateSurrogate runs the surrogate-guided Pareto search over a knob grid
 // for one task. The returned envelope contains only truly evaluated points
 // (their grid IDs match the exhaustive enumeration), Evaluations reports the
@@ -822,7 +811,7 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 		scratch.pts = resize(scratch.pts, len(ids))
 		pts := scratch.pts
 		if err := evalBatch(ctx, workers, pts, func(i int, sc *evalScratch) (Point, error) {
-			return sgEval(se, ids[i], sc)
+			return se.priceAt(ids[i], 0, sc)
 		}); err != nil {
 			return err
 		}
@@ -830,12 +819,8 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 		for i, id := range ids {
 			seen[id] = true
 			evalOrder = append(evalOrder, id)
-			pop = append(pop, SurrogateIndiv{
-				ID:  id,
-				Idx: idxs[i],
-				X:   pts[i].EDP(),
-				Y:   pts[i].EmbodiedDelay(),
-			})
+			o := pts[i].objectives()
+			pop = append(pop, SurrogateIndiv{ID: id, Idx: idxs[i], X: o.X, Y: o.Y})
 		}
 		return nil
 	}
@@ -862,7 +847,7 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 		if err := repriceMembers(ctx, se, workers, cp.Population, scratch.pts); err != nil {
 			return nil, err
 		}
-		if err := acc.restore(cp.Acc); err != nil {
+		if err := acc.restore(cp.Acc, se, 0, workers[0]); err != nil {
 			return nil, fmt.Errorf("dse: surrogate checkpoint: %w", err)
 		}
 		for _, id := range cp.Evaluated {
@@ -967,14 +952,14 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 // into a different run than the uninterrupted one.
 func repriceMembers(ctx context.Context, se *shapeEval, workers []*evalScratch, pop []SurrogateIndiv, pts []Point) error {
 	if err := evalBatch(ctx, workers, pts, func(i int, sc *evalScratch) (Point, error) {
-		return sgEval(se, pop[i].ID, sc)
+		return se.priceAt(pop[i].ID, 0, sc)
 	}); err != nil {
 		return err
 	}
 	for i, ind := range pop {
-		x, y := pts[i].EDP(), pts[i].EmbodiedDelay()
-		if math.Float64bits(x) != math.Float64bits(ind.X) || math.Float64bits(y) != math.Float64bits(ind.Y) {
-			return fmt.Errorf("dse: surrogate checkpoint population member %d (id %d) stores objectives (%g, %g), its re-pricing gives (%g, %g)", i, ind.ID, ind.X, ind.Y, x, y)
+		o := pts[i].objectives()
+		if math.Float64bits(o.X) != math.Float64bits(ind.X) || math.Float64bits(o.Y) != math.Float64bits(ind.Y) {
+			return fmt.Errorf("dse: surrogate checkpoint population member %d (id %d) stores objectives (%g, %g), its re-pricing gives (%g, %g)", i, ind.ID, ind.X, ind.Y, o.X, o.Y)
 		}
 	}
 	return nil

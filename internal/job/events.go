@@ -1,11 +1,15 @@
 package job
 
+import "time"
+
 // Event streaming: each job carries a monotonic sequence number and a set of
 // live watchers. Publication happens under the manager lock; each watcher
 // has a small buffered channel drained oldest-first on overflow, so a slow
 // SSE client sees a gappy but current stream (every event carries the full
 // status snapshot, so gaps lose nothing but intermediate frames) and the
-// terminal event is never dropped.
+// terminal event is never dropped. Progress frames are also paced at the
+// source: at most one per progressFrameInterval, while every report still
+// advances the sequence number and lands in the status.
 
 // EventType labels what changed.
 type EventType string
@@ -33,6 +37,11 @@ type Event struct {
 // watcherBuffer is each subscriber's channel depth; overflow drops the
 // oldest buffered event.
 const watcherBuffer = 64
+
+// progressFrameInterval is the least time between two progress frames of
+// one job (runContext.ReportProgress). State, checkpoint and done frames
+// are never held back.
+const progressFrameInterval = 50 * time.Millisecond
 
 type watcher struct {
 	ch     chan Event

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -172,5 +173,80 @@ func TestWatchSlowConsumerDropsOldest(t *testing.T) {
 	last := events[len(events)-1]
 	if last.Type != EventDone || last.Status.State != StateSucceeded {
 		t.Fatalf("slow consumer lost the terminal event; last = %+v", last)
+	}
+}
+
+// TestProgressFramesPaced pins the producer-side pacing: a burst of progress
+// reports inside one interval publishes the first as a frame and holds the
+// rest back, while every report lands in the status at once, advances the
+// sequence number, and the done frame carries the final progress.
+func TestProgressFramesPaced(t *testing.T) {
+	const reports = 200
+	var (
+		elapsed time.Duration
+		runErr  error
+	)
+	m := newTestManager(t, Config{Workers: 1})
+	m.SetRunner("burst", func(ctx context.Context, rc RunContext) (json.RawMessage, error) {
+		seqOf := func() int64 {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return m.jobs[rc.JobID()].seq
+		}
+		start := time.Now()
+		for i := int64(1); i <= reports; i++ {
+			before := seqOf()
+			rc.ReportProgress(Progress{Streamed: i})
+			if after := seqOf(); after != before+1 {
+				runErr = fmt.Errorf("report %d moved seq %d -> %d, want +1", i, before, after)
+				break
+			}
+			st, err := m.Get(rc.JobID())
+			if err != nil {
+				runErr = err
+				break
+			}
+			if st.Progress.Streamed != i {
+				runErr = fmt.Errorf("status after report %d shows streamed %d", i, st.Progress.Streamed)
+				break
+			}
+		}
+		elapsed = time.Since(start)
+		return json.RawMessage(`{}`), runErr
+	})
+	st, err := m.Submit("burst", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, cancel, err := m.Watch(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	m.Start()
+	events := collect(t, ch)
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	frames := 0
+	for _, ev := range events {
+		if ev.Type == EventProgress {
+			if frames == 0 && ev.Status.Progress.Streamed != 1 {
+				t.Fatalf("first progress frame carried %+v, want the first report", ev.Status.Progress)
+			}
+			frames++
+		}
+	}
+	// Over a burst lasting elapsed, frames after the first are bounded by
+	// the intervals that passed: none when the burst fits in one interval.
+	if frames < 1 || frames-1 > int(elapsed/progressFrameInterval) {
+		t.Fatalf("%d reports over %v published %d progress frames", reports, elapsed, frames)
+	}
+	last := events[len(events)-1]
+	if last.Type != EventDone || last.Status.Progress.Streamed != reports {
+		t.Fatalf("done frame = %+v, want the final progress (streamed %d)", last, reports)
+	}
+	if last.Seq < reports {
+		t.Fatalf("done frame seq %d does not version %d progress reports", last.Seq, reports)
 	}
 }

@@ -154,10 +154,12 @@ type job struct {
 	cancel          context.CancelFunc // non-nil while running
 	cancelRequested bool
 
-	// Event-stream state: a per-job monotonic sequence number and the live
-	// subscribers (see events.go).
-	seq      int64
-	watchers []*watcher
+	// Event-stream state: a per-job monotonic sequence number, the live
+	// subscribers, and when the last progress frame went out (zero before
+	// the first; see events.go).
+	seq            int64
+	watchers       []*watcher
+	progressFramed time.Time
 }
 
 func (j *job) status() Status {

@@ -770,11 +770,25 @@ func (rc *runContext) SaveCheckpoint(cp json.RawMessage) error {
 	return err
 }
 
+// ReportProgress records p at once, so status reads and ETAs stay exact,
+// and advances the job's sequence number, so a reconnecting ?after= reader
+// still gets the snapshot. It publishes a progress frame only when none of
+// the job's went out in the last progressFrameInterval: runners report per
+// unit of work (per shape, per generation), far faster than a follower
+// needs frames. The newest progress rides the next frame of any kind, and
+// the done frame carries the final one.
 func (rc *runContext) ReportProgress(p Progress) {
 	rc.m.mu.Lock()
 	defer rc.m.mu.Unlock()
-	rc.j.progress = p
-	rc.m.publishLocked(rc.j, EventProgress)
+	j := rc.j
+	j.progress = p
+	now := time.Now()
+	if !j.progressFramed.IsZero() && now.Sub(j.progressFramed) < progressFrameInterval {
+		j.seq++
+		return
+	}
+	j.progressFramed = now
+	rc.m.publishLocked(j, EventProgress)
 }
 
 // pruneHistoryLocked evicts the oldest-finished terminal jobs beyond the
