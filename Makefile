@@ -33,8 +33,8 @@ bench:
 bench-server:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateParallel|BenchmarkServerDSE' -benchmem .
 
-# Guard the streaming-engine and window-search speedups and the job's
-# checkpoint encode: fail on a >2x ns/op regression — or a >1.3x B/op or
+# Guard the streaming-engine and window-search speedups, the job's
+# checkpoint encode and the batched replay's full and delay-only passes: fail on a >2x ns/op regression — or a >1.3x B/op or
 # allocs/op regression — against the checked-in baseline. Every gate reads
 # the median of five runs: one run in a fresh process times and counts
 # one-time set-up as part of the work. Regenerate after an intentional perf
@@ -44,6 +44,7 @@ bench-check:
 	$(GO) test -run '^$$' -bench BenchmarkStreamingDSE -benchtime 1x -count 5 -benchmem . | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
 	$(GO) test -run '^$$' -bench BenchmarkScheduleWindow -benchtime 1x -count 5 -benchmem ./internal/sched | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
 	$(GO) test -run '^$$' -bench BenchmarkStreamCheckpointEncode -count 5 -benchmem ./internal/dse | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
+	$(GO) test -run '^$$' -bench BenchmarkReplayCost -benchtime 1000x -count 5 -benchmem ./internal/accel | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json
 
 # Guard the surrogate search's reason to exist: on the 105k-point reference
 # grid it must stay at least 3x faster than exhaustive streaming in the same
@@ -84,6 +85,7 @@ bench-baseline:
 	$(GO) test -run '^$$' -bench BenchmarkPartitionDSE -benchtime 1x -count 5 -benchmem . | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
 	$(GO) test -run '^$$' -bench BenchmarkScheduleWindow -benchtime 1x -count 5 -benchmem ./internal/sched | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
 	$(GO) test -run '^$$' -bench BenchmarkStreamCheckpointEncode -count 5 -benchmem ./internal/dse | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
+	$(GO) test -run '^$$' -bench BenchmarkReplayCost -benchtime 1000x -count 5 -benchmem ./internal/accel | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
 	$(GO) test -run '^$$' -bench BenchmarkClusterDSE -benchtime 1x -count 5 -benchmem ./internal/cluster | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
 	$(GO) test -run '^$$' -bench BenchmarkClusterMerge -benchtime 100x -count 5 -benchmem ./internal/cluster | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update
 	$(GO) test -run '^$$' -bench BenchmarkFairShareDequeue -benchtime 100x -benchmem ./internal/job | $(GO) run ./cmd/benchcheck -baseline testdata/bench_baseline.json -update

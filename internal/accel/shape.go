@@ -225,16 +225,26 @@ func (p *Pricing) consts() layerConsts {
 //     non-negative, non-NaN times both pick the same value, and when the
 //     two are equal either operand is that value.
 //
+// The time reads only the compute and memory times; the energy reads only
+// the layer's MAC count, its SRAM-dependent half and the per-op energies,
+// never the clock or the MAC-array count. So the two are independent
+// chains, and the delay-only replay (Replay.Cost) prices the time alone
+// through layerTime.
+//
 // TestShapeProfileCostBitwise holds the paths equal.
 func price(macs float64, sram units.Bytes, ct, mdt units.Time, dramE, d2dE units.Energy, k layerConsts) (units.Time, units.Energy) {
 	macEnergy := k.macE * units.Energy(macs)
 	sramEnergy := k.sramPB * units.Energy(sram)
+	e := macEnergy + sramEnergy + dramE + d2dE
+	return layerTime(ct, mdt, k), e
+}
+
+// layerTime is price's time: max(compute, memory) + overhead + hop.
+func layerTime(ct, mdt units.Time, k layerConsts) units.Time {
 	if mdt > ct {
 		ct = mdt
 	}
-	t := ct + k.oh + k.hop
-	e := macEnergy + sramEnergy + dramE + d2dE
-	return t, e
+	return ct + k.oh + k.hop
 }
 
 // Cost prices the profiled kernel under a configuration's clock, energy and
@@ -284,12 +294,20 @@ type memClass struct {
 }
 
 // accumulate adds one block of layers, priced under p, to kc: the block's
-// compute times start at ct[0], its memory terms at mc's block arrays.
-func (p *Pricing) accumulate(kc *workload.KernelCost, cblk []layerCompute, mblk []layerMem, ct []units.Time, mc *memClass) {
+// compute times start at ct[0], its memory terms at mc's block arrays. With
+// delayOnly it adds only the delay chain and leaves kc.DynamicEnergy alone.
+func (p *Pricing) accumulate(kc *workload.KernelCost, cblk []layerCompute, mblk []layerMem, ct []units.Time, mc *memClass, delayOnly bool) {
 	mblk, ct = mblk[:len(cblk)], ct[:len(cblk)]
 	mdt, dramE, d2dE := mc.mdt[:len(cblk)], mc.dramE[:len(cblk)], mc.d2dE[:len(cblk)]
 	k := p.consts()
 	delay, energy := kc.Delay, kc.DynamicEnergy
+	if delayOnly {
+		for i := range ct {
+			delay += layerTime(ct[i], mdt[i], k)
+		}
+		kc.Delay = delay
+		return
+	}
 	for i := range cblk {
 		t, e := price(cblk[i].macs, mblk[i].sram, ct[i], mdt[i], dramE[i], d2dE[i], k)
 		delay += t
@@ -396,11 +414,16 @@ func (r *Replay) row(sp *ShapeProfile) (row *ctRow, fill bool) {
 // every pricing was resolved from a configuration whose ShapeKey equals
 // sp.Key.
 //
+// With delayOnly, Cost prices only the delay and leaves every
+// out[k].DynamicEnergy zero. The energy chain reads neither the clock nor
+// the MAC-array count (see price), so a caller that priced a profile with
+// the same MemKey under the same pricings already holds it, bit for bit.
+//
 // The pass walks the layers in blocks. Per block it first computes the
 // cell-invariant terms — the memory terms once per memory class and, when
 // the kernel's row is stale, the compute times once per distinct clock —
 // then accumulates each pricing over the block's layers in order.
-func (r *Replay) Cost(sp *ShapeProfile, out []workload.KernelCost) {
+func (r *Replay) Cost(sp *ShapeProfile, out []workload.KernelCost, delayOnly bool) {
 	row, fill := r.row(sp)
 	n := len(sp.compute)
 	out = out[:len(r.pr)]
@@ -434,7 +457,7 @@ func (r *Replay) Cost(sp *ShapeProfile, out []workload.KernelCost) {
 					ct[i] = cblk[i].computeTime(p.clk)
 				}
 			}
-			p.accumulate(&out[k], cblk, mblk, ct, &r.mems[p.memIdx])
+			p.accumulate(&out[k], cblk, mblk, ct, &r.mems[p.memIdx], delayOnly)
 		}
 	}
 }

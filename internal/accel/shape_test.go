@@ -3,6 +3,7 @@ package accel
 import (
 	"testing"
 
+	"cordoba/internal/device"
 	"cordoba/internal/nn"
 	"cordoba/internal/units"
 	"cordoba/internal/workload"
@@ -41,7 +42,9 @@ func bitwiseConfigs() []Config {
 // to the direct simulator path: the one-cell ShapeProfile.Cost for every
 // configuration, and the batched Replay over each ShapeKey's
 // configurations priced together, which puts several memory classes
-// (monolithic, legacy 3D, 2.5d and 3d cuts) and clocks in one batch.
+// (monolithic, legacy 3D, 2.5d and 3d cuts) and clocks in one batch. The
+// delay-only replay's delay plus the full replay's stored energy is the
+// direct cost too, and the delay-only replay leaves every energy zero.
 func TestShapeProfileCostBitwise(t *testing.T) {
 	configs := bitwiseConfigs()
 	byKey := map[ShapeKey][]Config{}
@@ -67,6 +70,7 @@ func TestShapeProfileCostBitwise(t *testing.T) {
 			mixed++
 		}
 		out := make([]workload.KernelCost, len(group))
+		delays := make([]workload.KernelCost, len(group))
 		for _, id := range nn.AllKernels() {
 			sp, err := group[0].ShapeProfile(id)
 			if err != nil {
@@ -75,7 +79,8 @@ func TestShapeProfileCostBitwise(t *testing.T) {
 			if sp.Key != k {
 				t.Fatalf("%s: profile key %+v != config key %+v", group[0].ID, sp.Key, k)
 			}
-			r.Cost(sp, out)
+			r.Cost(sp, out, false)
+			r.Cost(sp, delays, true)
 			for i, c := range group {
 				direct, err := c.KernelCost(id)
 				if err != nil {
@@ -87,12 +92,55 @@ func TestShapeProfileCostBitwise(t *testing.T) {
 				if out[i] != direct {
 					t.Fatalf("%s %+v/%s: batched replay %+v != direct %+v", c.ID, c.Partition, id, out[i], direct)
 				}
+				if delays[i].DynamicEnergy != 0 {
+					t.Fatalf("%s %+v/%s: delay-only replay priced energy %v", c.ID, c.Partition, id, delays[i].DynamicEnergy)
+				}
+				split := workload.KernelCost{Delay: delays[i].Delay, DynamicEnergy: out[i].DynamicEnergy}
+				if split != direct {
+					t.Fatalf("%s %+v/%s: delay-only replay + stored energy %+v != direct %+v", c.ID, c.Partition, id, split, direct)
+				}
 			}
 		}
 		batches++
 	}
 	if mixed < 3 {
 		t.Fatalf("only %d of %d batches mixed memory classes; the set should put several in one batch", mixed, batches)
+	}
+}
+
+// TestDynamicEnergyIgnoresMACArraysAndClock pins the invariant the DSE
+// engine's energy reuse rests on (dse.shapeEval.priceShape): a kernel's
+// dynamic energy is bit-identical across configurations that differ only
+// in MAC-array count or clock, over the Fig. 8 grid, the 3D configurations
+// and 2.5d/3d partitions. Its delay does move, so the variants do differ.
+func TestDynamicEnergyIgnoresMACArraysAndClock(t *testing.T) {
+	moved := false
+	for _, c := range bitwiseConfigs() {
+		variants := []Config{c, c, c, c}
+		variants[1].MACArrays = 2*c.MACArrays + 7
+		variants[2].Params.Clock *= 0.6173
+		variants[3].MACArrays = max(1, c.MACArrays/3)
+		variants[3].Params.Clock *= 1.37
+		for _, id := range nn.AllKernels() {
+			want, err := c.KernelCost(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range variants[1:] {
+				got, err := v.KernelCost(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.DynamicEnergy != want.DynamicEnergy {
+					t.Fatalf("%s %+v/%s: %d arrays at %v Hz: energy %v != %v at %d arrays, %v Hz",
+						c.ID, c.Partition, id, v.MACArrays, v.Params.Clock.Hertz(), got.DynamicEnergy, want.DynamicEnergy, c.MACArrays, c.Params.Clock.Hertz())
+				}
+				moved = moved || got.Delay != want.Delay
+			}
+		}
+	}
+	if !moved {
+		t.Fatal("no variant moved a delay: the MAC-array and clock changes did not reach the roofline")
 	}
 }
 
@@ -138,7 +186,7 @@ func TestReplayReusesComputeTimesAcrossSRAM(t *testing.T) {
 		}
 		r.Load(pr)
 		out := make([]workload.KernelCost, len(cfgs))
-		r.Cost(mustProfile(t, shape, id), out)
+		r.Cost(mustProfile(t, shape, id), out, false)
 		exact := true
 		for j, c := range cfgs {
 			direct, err := c.KernelCost(id)
@@ -211,10 +259,12 @@ func TestReplayManyClocks(t *testing.T) {
 	var r Replay
 	r.Load(pr)
 	out := make([]workload.KernelCost, len(cfgs))
+	delays := make([]workload.KernelCost, len(cfgs))
 	for _, id := range nn.AllKernels() {
 		sp := mustProfile(t, shape, id)
 		for pass := 0; pass < 2; pass++ {
-			r.Cost(sp, out)
+			r.Cost(sp, out, false)
+			r.Cost(sp, delays, true)
 			for j, c := range cfgs {
 				direct, err := c.KernelCost(id)
 				if err != nil {
@@ -222,6 +272,9 @@ func TestReplayManyClocks(t *testing.T) {
 				}
 				if out[j] != direct {
 					t.Fatalf("%s pass %d, config %d: batched replay %+v != direct %+v", id, pass, j, out[j], direct)
+				}
+				if delays[j] != (workload.KernelCost{Delay: direct.Delay}) {
+					t.Fatalf("%s pass %d, config %d: delay-only replay %+v, want delay %v", id, pass, j, delays[j], direct.Delay)
 				}
 			}
 			for i := range r.rows {
@@ -233,7 +286,7 @@ func TestReplayManyClocks(t *testing.T) {
 	}
 }
 
-func mustProfile(t *testing.T, c Config, id nn.KernelID) *ShapeProfile {
+func mustProfile(t testing.TB, c Config, id nn.KernelID) *ShapeProfile {
 	t.Helper()
 	sp, err := c.ShapeProfile(id)
 	if err != nil {
@@ -390,5 +443,56 @@ func TestShapeProfileFromSharesMemHalf(t *testing.T) {
 		if got := sp.Cost(c); got != direct {
 			t.Fatalf("%v MB, penalty %v: replay %+v != direct %+v", c.SRAM.InMB(), c.Params.TilingPenalty, got, direct)
 		}
+	}
+}
+
+// BenchmarkReplayCost times the batched replay's layer on the 105k-point
+// reference grid's inputs: one shape (100 MAC arrays, 29 MB) priced for all
+// 15 kernels under the grid's 70 pricings (10 V_DD points × 7 nodes,
+// scaled as the DSE grid scales a cell). "full" prices delay and energy,
+// as the first MAC count of an SRAM size does; "delay" prices the delay
+// alone, as every later MAC count does (dse.shapeEval.priceShape). The
+// compute-time rows stay warm across iterations, as they do across a MAC
+// count's SRAM sizes.
+func BenchmarkReplayCost(b *testing.B) {
+	shape := New("", 100, units.MB(29))
+	ref := device.NewDesign(device.Node7nm())
+	var pr []Pricing
+	for i := 0; i < 10; i++ {
+		for _, node := range device.Nodes() {
+			d := device.DVFSPoint(device.NewDesign(node), 0.55+0.05*float64(i))
+			clockR := d.MaxClock().Hertz() / ref.MaxClock().Hertz()
+			energyR := d.DynamicEnergyPerCycle().Joules() / ref.DynamicEnergyPerCycle().Joules()
+			c := shape
+			c.Params.Clock *= units.Frequency(clockR)
+			c.Params.MACEnergy *= units.Energy(energyR)
+			c.Params.SRAMEnergyBase *= units.Energy(energyR)
+			c.Params.SRAMEnergySlope *= units.Energy(energyR)
+			pr = append(pr, c.Pricing())
+		}
+	}
+	var sps []*ShapeProfile
+	for _, id := range nn.AllKernels() {
+		sps = append(sps, mustProfile(b, shape, id))
+	}
+	out := make([]workload.KernelCost, len(pr))
+	for _, mode := range []struct {
+		name      string
+		delayOnly bool
+	}{{"full", false}, {"delay", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			var r Replay
+			r.Load(pr)
+			for _, sp := range sps {
+				r.Cost(sp, out, mode.delayOnly)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, sp := range sps {
+					r.Cost(sp, out, mode.delayOnly)
+				}
+			}
+		})
 	}
 }

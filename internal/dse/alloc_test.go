@@ -115,9 +115,10 @@ func TestEvalShapeSteadyStateAllocsWithPartitionAxes(t *testing.T) {
 
 // TestPriceShapeSteadyStateAllocs: the batched replay half of evalShape —
 // memo lookup, per-class pricings, compute-time rows, the [kernel][cost
-// class] table — allocates nothing per shape once warm, including on the
-// shapes where a new MAC count refills the compute-time rows and on grids
-// with partition axes (several memory classes).
+// class] table, the per-SRAM energy table — allocates nothing per shape
+// once warm, including on the shapes where a new MAC count refills the
+// compute-time rows and on grids with partition axes (several memory
+// classes).
 func TestPriceShapeSteadyStateAllocs(t *testing.T) {
 	part := allocTestGrid()
 	part.Integrations = []string{"monolithic", "2.5d", "3d"}
@@ -133,13 +134,16 @@ func TestPriceShapeSteadyStateAllocs(t *testing.T) {
 		}
 		sc := newEvalScratch(se)
 		for si := 0; si < cg.shapes(); si++ {
-			if err := se.priceShape(cg.shapeConfig(si), sc); err != nil {
+			if err := se.priceShape(si, sc); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if sc.energy == nil {
+			t.Fatal("the grid's energy table is not in use")
+		}
 		si := 0
 		allocs := testing.AllocsPerRun(20, func() {
-			if err := se.priceShape(cg.shapeConfig(si), sc); err != nil {
+			if err := se.priceShape(si, sc); err != nil {
 				t.Fatal(err)
 			}
 			si = (si + 1) % cg.shapes()
@@ -168,7 +172,7 @@ func TestSurrogateScratchSkipsBatchBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sc.table != nil || sc.column != nil || sc.pricing != nil || !reflect.ValueOf(sc.replay).IsZero() {
+	if sc.table != nil || sc.column != nil || sc.pricing != nil || sc.energy != nil || sc.energySet != nil || !reflect.ValueOf(sc.replay).IsZero() {
 		t.Fatal("priceAt grew the batched-replay buffers")
 	}
 }

@@ -366,6 +366,87 @@ func TestShapeProfileReplayBitwise(t *testing.T) {
 	}
 }
 
+// TestEnergyReuseAcrossMACCounts: priceShape reuses each SRAM size's
+// dynamic energies across MAC counts while its table fits maxEnergyTable
+// and runs the fused replay above it. Two grids differing only in the
+// length of the V_DD axis land on either side of the bound; both carry the
+// Models and partition axes (two memory classes) and more distinct clocks
+// than the replay caches rows for. On each, every point evalShape prices,
+// and the stream's envelope and aggregates, equal EvaluateGrid's.
+func TestEnergyReuseAcrossMACCounts(t *testing.T) {
+	// Five short kernels keep the naive oracle over ~10⁵ points fast.
+	task := workload.Task{Name: "short kernels", Calls: map[nn.KernelID]float64{
+		nn.JLP: 3, nn.EFAN: 1, nn.ET: 2, nn.DN: 1, nn.Agg3D: 5,
+	}}
+	grid := func(vdds int) Grid {
+		g := Grid{
+			MACArrays:    []int{2, 16},
+			SRAMMB:       []float64{0.5, 64},
+			Nodes:        []string{"7nm", "3nm"},
+			Models:       []string{"act", "stacked-3d"},
+			Integrations: []string{"monolithic", "3d"},
+		}
+		for i := 0; i < vdds; i++ {
+			g.VDDScales = append(g.VDDScales, 0.6+0.4*float64(i)/float64(vdds))
+		}
+		return g
+	}
+	for _, c := range []struct {
+		name  string
+		vdds  int
+		table bool
+	}{
+		{"under the bound", 100, true},
+		{"above the bound", 3300, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if !c.table && testing.Short() {
+				t.Skip("a 10⁵-point naive oracle")
+			}
+			g := grid(c.vdds)
+			cg, err := g.compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			se, err := newShapeEval(cg, []workload.Task{task}, NewMemoCache(0), carbon.FabTaiwan, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes := len(g.SRAMMB) * len(cg.costReps) * len(se.kernels) * 8
+			if fits := bytes <= maxEnergyTable; fits != c.table || 2*c.vdds <= 128 {
+				t.Fatalf("grid's table is %d B against the %d B bound (fits %v, want %v), %d clocks",
+					bytes, maxEnergyTable, fits, c.table, 2*c.vdds)
+			}
+			naive, err := EvaluateGrid(task, g, carbon.FabTaiwan, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := newEvalScratch(se)
+			buf := make([][]Point, 1)
+			for si := 0; si < cg.shapes(); si++ {
+				if err := evalShape(se, si, sc, buf); err != nil {
+					t.Fatal(err)
+				}
+				for ci, got := range buf[0] {
+					want := naive.Points[si*len(cg.cells)+ci]
+					if got.Delay != want.Delay || got.Energy != want.Energy || got.Embodied != want.Embodied ||
+						got.Area != want.Area || got.Model != want.Model {
+						t.Fatalf("point %s: batched %+v != naive %+v", want.Config.ID, got, want)
+					}
+				}
+			}
+			if (sc.energy != nil) != c.table {
+				t.Fatalf("energy table in use: %v, want %v", sc.energy != nil, c.table)
+			}
+			r, err := EvaluateStream(context.Background(), task, g, carbon.FabTaiwan, 200, StreamOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkStreamMatchesNaive(t, r, naive)
+		})
+	}
+}
+
 func TestMemoCacheBoundAndConcurrency(t *testing.T) {
 	memo := NewMemoCache(4)
 	var wg sync.WaitGroup

@@ -100,6 +100,38 @@ func TestJobLifecycle(t *testing.T) {
 	checkExposition(t, m.Body.String())
 }
 
+// TestStoredBodiesExactlySized: a job result and a cached response are kept
+// for the daemon's lifetime (up to the job-history and cache bounds), so
+// each must be stored at its exact length, with no encoder slack behind it.
+func TestStoredBodiesExactlySized(t *testing.T) {
+	s := newTestServer(t, Config{})
+	var stored json.RawMessage
+	s.Jobs().SetRunner("dse", func(ctx context.Context, rc job.RunContext) (json.RawMessage, error) {
+		res, err := s.dseRunner(jobKindDSE)(ctx, rc)
+		stored = res
+		return res, err
+	})
+	st := submitJob(t, s, jobsBody)
+	waitJobState(t, s, st.ID, api.JobSucceeded)
+	if len(stored) == 0 || cap(stored) != len(stored) {
+		t.Fatalf("job result stored with len %d, cap %d", len(stored), cap(stored))
+	}
+
+	if w := do(t, s, "POST", "/v1/dse", jobsBody); w.Code != http.StatusOK {
+		t.Fatalf("sync dse = %d (body %s)", w.Code, w.Body)
+	}
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	if len(s.cache.entries) != 1 {
+		t.Fatalf("cache holds %d entries, want 1", len(s.cache.entries))
+	}
+	for _, el := range s.cache.entries {
+		if b := el.Value.(*cacheEntry).resp.Body; cap(b) != len(b) {
+			t.Fatalf("cached body stored with len %d, cap %d", len(b), cap(b))
+		}
+	}
+}
+
 // TestJobSubmitInvalid: validation runs at submission, so a bad body is a
 // synchronous 400, never a failed job.
 func TestJobSubmitInvalid(t *testing.T) {

@@ -228,7 +228,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) ([]byte, error) {
 }
 
 // encodeJSON renders v in the wire form every JSON response and stored job
-// result shares: indented, newline-terminated.
+// result shares: indented, newline-terminated. The slice is exactly sized:
+// the response cache and the job history keep it, and MarshalIndent's
+// buffer carries about as much spare capacity again.
 func encodeJSON(v any) ([]byte, error) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -242,5 +244,8 @@ func encodeJSON(v any) ([]byte, error) {
 		}
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	out := make([]byte, len(b)+1)
+	copy(out, b)
+	out[len(b)] = '\n'
+	return out, nil
 }
