@@ -18,6 +18,7 @@ import (
 	"cordoba/internal/carbon"
 	"cordoba/internal/dse"
 	"cordoba/internal/experiments"
+	"cordoba/internal/sched"
 	"cordoba/internal/server"
 )
 
@@ -174,11 +175,11 @@ func BenchmarkLifetime(b *testing.B) { benchExperiment(b, "lifetime") }
 // BenchmarkScheduler times the discrete-event scheduler substrate on a
 // VR-style workload (the Perfetto substitute).
 func BenchmarkScheduler(b *testing.B) {
-	w := cordoba.SyntheticVRWorkload("vr", 4.0, 60, 1)
+	w := sched.SyntheticVR("vr", 4.0, 60, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cordoba.SimulateScheduler(w, 8); err != nil {
+		if _, err := sched.Simulate(w, 8); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,7 +8,6 @@
 // accounting. This package is the public facade; it re-exports the stable
 // surface of the internal packages:
 //
-//   - Metrics (tC, CCI, EDP, tCDP, ...) and objective selection (§III).
 //   - ACT-style carbon accounting: per-node fab characterization, yield
 //     models, die placement, packaging (§IV-A, eq. IV.5).
 //   - The task/kernel workload formulation (eq. IV.2/IV.4) with the paper's
@@ -42,7 +41,6 @@ import (
 	"cordoba/internal/experiments"
 	"cordoba/internal/grid"
 	"cordoba/internal/lifecycle"
-	"cordoba/internal/metrics"
 	"cordoba/internal/nn"
 	"cordoba/internal/sched"
 	"cordoba/internal/soc"
@@ -67,12 +65,8 @@ type (
 	CarbonIntensity = units.CarbonIntensity
 	// Area is a silicon area in cm².
 	Area = units.Area
-	// Frequency is a clock rate in Hz.
-	Frequency = units.Frequency
 	// Bytes is a memory capacity.
 	Bytes = units.Bytes
-	// Bandwidth is bytes per second.
-	Bandwidth = units.Bandwidth
 )
 
 // Hours constructs a Time from hours.
@@ -81,30 +75,8 @@ func Hours(h float64) Time { return units.Hours(h) }
 // Years constructs a Time from 365-day years.
 func Years(y float64) Time { return units.Years(y) }
 
-// KWh constructs an Energy from kilowatt-hours.
-func KWh(k float64) Energy { return units.KWh(k) }
-
 // MB constructs a Bytes from mebibytes.
 func MB(m float64) Bytes { return units.MB(m) }
-
-// ---- metrics (§III) ----
-
-// Report is the evaluated (energy, delay, embodied, operational) tuple of a
-// design; all carbon-efficiency metrics derive from it.
-type Report = metrics.Report
-
-// Objective selects the optimization target (§III-C).
-type Objective = metrics.Objective
-
-// Objectives.
-const (
-	MinEnergy = metrics.MinEnergy
-	MinEDP    = metrics.MinEDP
-	MinDelay  = metrics.MinDelay
-	MinTC     = metrics.MinTC
-	MinCCI    = metrics.MinCCI
-	MinTCDP   = metrics.MinTCDP
-)
 
 // ---- carbon accounting (§IV-A) ----
 
@@ -116,9 +88,6 @@ type Fab = carbon.Fab
 
 // Process7nm returns the paper's 7 nm anchor node (Table III values).
 func Process7nm() Process { return carbon.Process7nm() }
-
-// Processes returns all supported nodes, 28 nm to 3 nm.
-func Processes() []Process { return carbon.Processes() }
 
 // ProcessByName returns the fab characterization for a named node ("7nm").
 func ProcessByName(name string) (Process, error) { return carbon.ProcessByName(name) }
@@ -159,22 +128,11 @@ type DesignSpec = carbon.DesignSpec
 // DieSpec is one die population inside a DesignSpec.
 type DieSpec = carbon.DieSpec
 
-// CarbonBreakdown is a priced design: silicon, packaging and bonding
-// components plus the per-die detail.
-type CarbonBreakdown = carbon.Breakdown
-
 // CarbonModelInfo describes a registered backend for discovery surfaces.
 type CarbonModelInfo = carbon.ModelInfo
 
 // YieldModel predicts fabrication yield from die area and defect density.
 type YieldModel = carbon.YieldModel
-
-// DefaultCarbonModel returns the ACT backend — the pipeline's historical
-// accounting, bit-identical to the pre-interface implementation.
-func DefaultCarbonModel() CarbonModel { return carbon.DefaultModel() }
-
-// CarbonModels returns every registered backend.
-func CarbonModels() []CarbonModel { return carbon.Models() }
 
 // CarbonModelByName resolves a backend by registry name ("act", "chiplet",
 // "stacked-3d"); the empty string selects ACT.
@@ -182,10 +140,6 @@ func CarbonModelByName(name string) (CarbonModel, error) { return carbon.ModelBy
 
 // CarbonModelInfos returns name/description pairs for every backend.
 func CarbonModelInfos() []CarbonModelInfo { return carbon.ModelInfos() }
-
-// YieldModels returns the supported yield models (Murphy, Poisson, Seeds,
-// Bose–Einstein).
-func YieldModels() []YieldModel { return carbon.YieldModels() }
 
 // YieldModelNames lists the registry names YieldModelByName accepts.
 func YieldModelNames() []string { return carbon.YieldModelNames() }
@@ -220,9 +174,6 @@ func PaperTasks() []Task { return workload.PaperTasks() }
 // PaperTask returns a Table IV task by name.
 func PaperTask(name string) (Task, error) { return workload.PaperTask(name) }
 
-// Kernels returns all fifteen kernel IDs.
-func Kernels() []KernelID { return nn.AllKernels() }
-
 // The fifteen AI/XR kernels of Table IV.
 const (
 	KernelRN18   = nn.RN18
@@ -247,26 +198,6 @@ const (
 // AcceleratorConfig is one accelerator design point (MAC arrays + SRAM,
 // optionally 3D-stacked or explicitly partitioned into chiplets/tiers).
 type AcceleratorConfig = accel.Config
-
-// AccelPartition describes how a configuration's silicon is split into dies:
-// the integration style ("monolithic", "2.5d", "3d"), the chiplet/tier count,
-// the (possibly older) node of the partitioned memory die, and the 2.5d
-// carrier. The zero value is monolithic — the historical behavior.
-type AccelPartition = accel.Partition
-
-// Partition integration styles.
-const (
-	IntegrationMonolithic = accel.IntegrationMonolithic
-	Integration25D        = accel.Integration25D
-	Integration3D         = accel.Integration3D
-)
-
-// Integrations lists the supported partition integration styles.
-func Integrations() []string { return accel.Integrations() }
-
-// CarrierNames lists the 2.5d carrier technologies the chiplet backend
-// prices ("rdl-fanout", "silicon-interposer", "emib").
-func CarrierNames() []string { return carbon.CarrierNames() }
 
 // NewAccelerator returns a 2D configuration with calibrated 7 nm parameters.
 func NewAccelerator(id string, macArrays int, sram Bytes) AcceleratorConfig {
@@ -343,12 +274,6 @@ func ExploreStreamAt(ctx context.Context, task Task, g KnobGrid, fab Fab, ci Car
 	return dse.EvaluateStream(ctx, task, g, fab, ci, opt)
 }
 
-// ExploreStreamTasks streams several tasks over one grid in a single pass,
-// sharing every kernel evaluation between them.
-func ExploreStreamTasks(ctx context.Context, tasks []Task, g KnobGrid, fab Fab, ci CarbonIntensity, opt StreamOptions) ([]*StreamResult, error) {
-	return dse.EvaluateStreamTasks(ctx, tasks, g, fab, ci, opt)
-}
-
 // ---- checkpointed streaming exploration ----
 
 // StreamCheckpoint is a serializable snapshot of a streaming exploration:
@@ -383,12 +308,6 @@ func MergeStreamResults(results []*StreamResult) (*StreamResult, error) {
 // progress reporting — the engine behind cordobad's async job API.
 func ExploreStreamCheckpointed(ctx context.Context, task Task, g KnobGrid, fab Fab, ci CarbonIntensity, opt CheckpointOptions) (*StreamResult, error) {
 	return dse.EvaluateStreamCheckpointed(ctx, task, g, fab, ci, opt)
-}
-
-// ExploreGridNaive materializes a knob grid and evaluates it through the v1
-// engine — the reference baseline for the streaming engine.
-func ExploreGridNaive(task Task, g KnobGrid, fab Fab, ci CarbonIntensity) (*DesignSpace, error) {
-	return dse.EvaluateGrid(task, g, fab, ci)
 }
 
 // ---- surrogate-guided Pareto search ----
@@ -472,17 +391,9 @@ func DecarbonizationRamp(start, end CarbonIntensity, span Time) CITrace {
 	return grid.Ramp{Start: start, End: end, Span: span}
 }
 
-// CaliforniaDuckCI is the stylized duck-curve daily trace: clean midday
-// solar, dirty evening ramp.
-func CaliforniaDuckCI() CITrace { return grid.CaliforniaDuck() }
-
 // NamedCITraces returns the reference CI_use(t) traces cordobad serves,
 // keyed by Name().
 func NamedCITraces() []CITrace { return grid.NamedTraces() }
-
-// CITraceByName resolves a reference trace by its registry name
-// ("california-duck", "decarb-ramp", ...).
-func CITraceByName(name string) (CITrace, error) { return grid.TraceByName(name) }
 
 // ---- cumulative-trace engine ----
 
@@ -496,12 +407,6 @@ type CumulativeCI = grid.Cumulative
 // default of three years); queries beyond it stay correct but slower.
 func NewCumulativeCI(tr CITrace, horizon Time) (*CumulativeCI, error) {
 	return grid.NewCumulative(tr, horizon)
-}
-
-// AverageCIOver returns the exact time-average carbon intensity of a trace
-// over [0, life].
-func AverageCIOver(tr CITrace, life Time) (CarbonIntensity, error) {
-	return grid.AverageCI(tr, life, 1)
 }
 
 // ---- carbon-aware launch windows ----
@@ -522,12 +427,6 @@ type ExecutionWindow = sched.Window
 // cumulative trace, searching candidate starts up to the deadline.
 func FindLaunchWindow(cum *CumulativeCI, req WindowRequest) (WindowPlan, error) {
 	return sched.FindWindow(cum, req)
-}
-
-// TCDPUnderTrace evaluates a design's tCDP when the grid follows a
-// time-varying CI_use(t) trace over the hardware lifetime (eq. IV.8).
-func TCDPUnderTrace(d UncertainDesign, tr CITrace, life Time) (float64, error) {
-	return uncertainty.TCDPUnderTrace(d, tr, life, 1000)
 }
 
 // OptimalUnderTrace returns the index of the tCDP-optimal design under a CI
@@ -557,32 +456,12 @@ func PaperVRTasks() []VRTask { return soc.PaperVRTasks() }
 // embodied carbon per chip.
 type RefreshService = lifecycle.Service
 
-// RefreshPolicy pairs a refresh period with its lifetime outcome.
-type RefreshPolicy = lifecycle.PolicyResult
-
 // DefaultRefreshService returns a 10-year datacenter service starting at
 // 14 nm with nodes advancing every 2.5 years.
 func DefaultRefreshService() RefreshService { return lifecycle.DefaultService() }
 
 // RefreshPeriods returns the conventional 1–10-year candidate cadences.
 func RefreshPeriods() []Time { return lifecycle.DefaultPeriods() }
-
-// ---- multicore scheduling substrate (§VI-D) ----
-
-// ThreadWorkload is a set of threads for the discrete-event scheduler that
-// stands in for the paper's Perfetto traces.
-type ThreadWorkload = sched.Workload
-
-// SimulateScheduler runs a workload on n cores and reports makespan, TLP
-// and occupancy histograms.
-func SimulateScheduler(w *ThreadWorkload, cores int) (sched.Result, error) {
-	return sched.Simulate(w, cores)
-}
-
-// SyntheticVRWorkload generates a VR-style thread workload targeting a TLP.
-func SyntheticVRWorkload(name string, targetTLP float64, frames int, seed int64) *ThreadWorkload {
-	return sched.SyntheticVR(name, targetTLP, frames, seed)
-}
 
 // ---- experiment harness ----
 

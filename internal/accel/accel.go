@@ -160,11 +160,6 @@ const (
 	Integration3D         = "3d"
 )
 
-// Integrations lists the valid partition integration styles.
-func Integrations() []string {
-	return []string{IntegrationMonolithic, Integration25D, Integration3D}
-}
-
 // Partition describes how a configuration is cut into dies before packaging
 // — the chiplet-pathfinding axis the DSE sweeps. The zero value means
 // monolithic: single die, no interconnect penalty, bit-identical to the
@@ -536,23 +531,6 @@ func (c Config) Profile(id nn.KernelID) (KernelProfile, error) {
 		p.D2DEnergy += lc.D2DEnergy
 	}
 	return p, nil
-}
-
-// BandwidthRequirement returns the processor–memory bandwidth a kernel needs
-// on this configuration to avoid memory stalls: the DRAM traffic per
-// inference divided by the pure compute time. §V uses this quantity to show
-// that growing the activation SRAM from 2 MB to 32 MB collapses the
-// bandwidth demand of high-resolution super-resolution kernels back inside
-// LPDDR4's 16 GB/s.
-func (c Config) BandwidthRequirement(id nn.KernelID) (units.Bandwidth, error) {
-	p, err := c.Profile(id)
-	if err != nil {
-		return 0, err
-	}
-	if p.ComputeTime <= 0 {
-		return 0, fmt.Errorf("accel: kernel %s has no compute time on %s", id, c.ID)
-	}
-	return units.Bandwidth(float64(p.DRAMTraffic) / p.ComputeTime.Seconds()), nil
 }
 
 // KernelCost implements workload.Platform.

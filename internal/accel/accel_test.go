@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestGridShape(t *testing.T) {
 	if len(grid) != GridSize {
 		t.Fatalf("grid size = %d, want %d", len(grid), GridSize)
 	}
-	macs, srams := GridOptions()
+	macs, srams := gridMACOptions, gridSRAMOptions
 	if len(macs) != 11 || len(srams) != 11 {
 		t.Fatalf("axes = %d × %d, want 11 × 11", len(macs), len(srams))
 	}
@@ -211,7 +212,7 @@ func TestAreaModel(t *testing.T) {
 
 func TestLayerCostBreakdown(t *testing.T) {
 	c := New("c", 16, units.MB(8))
-	net := nn.MustKernel(nn.RN18)
+	net := mustKernel(nn.RN18)
 	var total units.Energy
 	for _, l := range net.Layers {
 		lc := c.LayerCost(l)
@@ -332,11 +333,6 @@ func TestEmbodied(t *testing.T) {
 	if ratio := e48.Grams() / e1.Grams(); ratio < 2 {
 		t.Errorf("a48/a1 embodied ratio = %.2f, want ≥ 2", ratio)
 	}
-	// Default helper agrees.
-	ed, err := a48.EmbodiedDefault()
-	if err != nil || ed != e48 {
-		t.Errorf("EmbodiedDefault mismatch: %v, %v", ed, err)
-	}
 	// Invalid config errors.
 	if _, err := (Config{ID: "bad"}).Embodied(p7, fab); err == nil {
 		t.Error("invalid config should error")
@@ -349,17 +345,26 @@ func TestEmbodied3DIncludesAllDice(t *testing.T) {
 	for _, c := range cfgs {
 		byID[c.ID] = c
 	}
-	e2, _ := byID[Stacked1K2M].EmbodiedDefault()
-	e8, _ := byID[Stacked1K8M].EmbodiedDefault()
+	e2, _ := byID[Stacked1K2M].Embodied(carbon.Process7nm(), carbon.FabCoal)
+	e8, _ := byID[Stacked1K8M].Embodied(carbon.Process7nm(), carbon.FabCoal)
 	if e8 <= e2 {
 		t.Error("more stacked memory dies should cost more embodied carbon")
 	}
 }
 
+// mustKernel is nn.Kernel for the static IDs the tests use.
+func mustKernel(id nn.KernelID) *nn.Network {
+	n, err := nn.Kernel(id)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 func TestSpillPenaltyGrowsWithDeficit(t *testing.T) {
 	// Same working set, shrinking SRAM: DRAM traffic per spilled byte must
 	// grow (the deficit-dependent re-read factor).
-	layer := nn.MustKernel(nn.SR512).Layers[1] // a big trunk conv
+	layer := mustKernel(nn.SR512).Layers[1] // a big trunk conv
 	c8 := New("c8", 16, units.MB(8))
 	c1 := New("c1", 16, units.MB(1))
 	lc8 := c8.LayerCost(layer)
@@ -375,6 +380,20 @@ func TestSpillPenaltyGrowsWithDeficit(t *testing.T) {
 	}
 }
 
+// bandwidthRequirement is the processor–memory bandwidth a kernel needs to
+// run compute-bound on c: the DRAM traffic of one inference divided by the
+// pure compute time.
+func bandwidthRequirement(c Config, id nn.KernelID) (units.Bandwidth, error) {
+	p, err := c.Profile(id)
+	if err != nil {
+		return 0, err
+	}
+	if p.ComputeTime <= 0 {
+		return 0, fmt.Errorf("accel: kernel %s has no compute time on %s", id, c.ID)
+	}
+	return units.Bandwidth(float64(p.DRAMTraffic) / p.ComputeTime.Seconds()), nil
+}
+
 // §V: "as super-resolution kernels scale up in resolution ... their memory
 // and bandwidth requirements grow beyond the typical LPDDR4 DRAM 16 GB/s
 // peak bandwidth. Therefore, increasing the activation SRAM from 2 MB to
@@ -384,11 +403,11 @@ func TestBandwidthRequirementClaim(t *testing.T) {
 	small := New("c2", 16, units.MB(2))
 	big := New("c32", 16, units.MB(32))
 
-	bwSmall, err := small.BandwidthRequirement(nn.SR1024)
+	bwSmall, err := bandwidthRequirement(small, nn.SR1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bwBig, err := big.BandwidthRequirement(nn.SR1024)
+	bwBig, err := bandwidthRequirement(big, nn.SR1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +430,7 @@ func TestBandwidthRequirementGrowsWithResolution(t *testing.T) {
 	c := New("c", 16, units.MB(2))
 	prev := units.Bandwidth(0)
 	for _, id := range []nn.KernelID{nn.SR256, nn.SR512, nn.SR1024} {
-		bw, err := c.BandwidthRequirement(id)
+		bw, err := bandwidthRequirement(c, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +461,7 @@ func TestProfileBreakdownConsistency(t *testing.T) {
 
 func TestBandwidthRequirementErrors(t *testing.T) {
 	bad := Config{ID: "bad"}
-	if _, err := bad.BandwidthRequirement(nn.SR256); err == nil {
+	if _, err := bandwidthRequirement(bad, nn.SR256); err == nil {
 		t.Error("invalid config should error")
 	}
 }
@@ -471,14 +490,14 @@ func TestDelayMonotoneInSRAMProperty(t *testing.T) {
 
 // Property: embodied carbon is strictly increasing in both grid axes.
 func TestEmbodiedMonotoneProperty(t *testing.T) {
-	macs, srams := GridOptions()
+	macs, srams := gridMACOptions, gridSRAMOptions
 	f := func(mi, si uint8) bool {
 		i := int(mi) % (len(macs) - 1)
 		j := int(si) % (len(srams) - 1)
 		small := New("s", macs[i], units.MB(srams[j]))
 		bigger := New("b", macs[i+1], units.MB(srams[j+1]))
-		es, err1 := small.EmbodiedDefault()
-		eb, err2 := bigger.EmbodiedDefault()
+		es, err1 := small.Embodied(carbon.Process7nm(), carbon.FabCoal)
+		eb, err2 := bigger.Embodied(carbon.Process7nm(), carbon.FabCoal)
 		return err1 == nil && err2 == nil && eb > es
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -132,9 +132,3 @@ func (c Config) EmbodiedWith(m carbon.Model, ym carbon.YieldModel, p carbon.Proc
 func (c Config) Embodied(p carbon.Process, fab carbon.Fab) (units.Carbon, error) {
 	return c.EmbodiedWith(nil, nil, p, fab)
 }
-
-// EmbodiedDefault computes Embodied at the paper's anchor point: the 7 nm
-// node in a coal-heavy fab (CI_fab = 820 g/kWh, Table III).
-func (c Config) EmbodiedDefault() (units.Carbon, error) {
-	return c.Embodied(carbon.Process7nm(), carbon.FabCoal)
-}

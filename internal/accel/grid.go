@@ -22,11 +22,6 @@ var (
 // GridSize is the number of configurations in the Fig. 8 design space.
 const GridSize = 121
 
-// GridOptions returns the MAC-array and SRAM (MB) axes of the grid.
-func GridOptions() (macArrays []int, sramMB []float64) {
-	return append([]int(nil), gridMACOptions...), append([]float64(nil), gridSRAMOptions...)
-}
-
 // GridID returns the configuration ID for 1-based MAC and SRAM indices.
 func GridID(macIdx, sramIdx int) string {
 	return fmt.Sprintf("a%d", (macIdx-1)*len(gridSRAMOptions)+sramIdx)

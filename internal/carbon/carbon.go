@@ -131,56 +131,8 @@ func (p Process) CarbonPerArea(fab Fab) units.Carbon {
 	return fabEnergy + p.MPA + p.GPA
 }
 
-// EmbodiedSplit decomposes eq. IV.5 into the part that scales with the fab
-// grid's carbon intensity and the part that does not:
-//
-//	C_embodied = CI_fab·(EPA·A/Y) + (MPA + GPA)·A/Y
-//	           = CI_fab·fabEnergy + materials
-//
-// fabEnergy is in kWh. The split is what lets designers eliminate designs
-// when CI_fab itself is unknown (§IV-B's closing remark); see
-// uncertainty.SurvivorsUnknownFab.
-func (p Process) EmbodiedSplit(area units.Area, y float64) (fabEnergy units.Energy, materials units.Carbon, err error) {
-	if y <= 0 || y > 1 {
-		return 0, 0, fmt.Errorf("carbon: yield must be in (0,1], got %v", y)
-	}
-	if area < 0 {
-		return 0, 0, fmt.Errorf("carbon: negative die area %v", area)
-	}
-	scaled := area.CM2() / y
-	return units.KWh(p.EPA * scaled), (p.MPA + p.GPA) * units.Carbon(scaled), nil
-}
-
 // Operational computes eq. IV.6: use-phase carbon for total energy e drawn
 // from a grid with intensity ci.
 func Operational(ci units.CarbonIntensity, e units.Energy) units.Carbon {
 	return ci.Of(e)
-}
-
-// GridSource is a use-phase energy source with its lifecycle carbon
-// intensity (IPCC median values, gCO2e/kWh).
-type GridSource struct {
-	Name string
-	CI   units.CarbonIntensity
-}
-
-// Use-phase grid sources for CI_use sweeps.
-var (
-	SourceCoal      = GridSource{"coal", 820}
-	SourceGas       = GridSource{"gas", 490}
-	SourceWorldAvg  = GridSource{"world-average", 475}
-	SourcePaper     = GridSource{"paper-example", 380} // Table III's CI_use
-	SourceSolar     = GridSource{"solar", 41}
-	SourceHydro     = GridSource{"hydro", 24}
-	SourceNuclear   = GridSource{"nuclear", 12}
-	SourceWind      = GridSource{"wind", 11}
-	SourceGeotherma = GridSource{"geothermal", 38}
-)
-
-// GridSources returns all reference sources, highest intensity first.
-func GridSources() []GridSource {
-	return []GridSource{
-		SourceCoal, SourceGas, SourceWorldAvg, SourcePaper,
-		SourceSolar, SourceGeotherma, SourceHydro, SourceNuclear, SourceWind,
-	}
 }

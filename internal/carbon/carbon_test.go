@@ -94,18 +94,6 @@ func TestOperational(t *testing.T) {
 	near(t, "C_op", c.Grams(), 380*332/3.6e6, 1e-12)
 }
 
-func TestGridSourcesOrdered(t *testing.T) {
-	ss := GridSources()
-	if len(ss) < 5 {
-		t.Fatalf("too few sources: %d", len(ss))
-	}
-	for i := 1; i < len(ss); i++ {
-		if ss[i].CI > ss[i-1].CI {
-			t.Errorf("sources not in descending CI order at %s", ss[i].Name)
-		}
-	}
-}
-
 // ---- yield models ----
 
 func TestYieldModelsAtZeroDefects(t *testing.T) {
@@ -332,82 +320,16 @@ func TestEmbodiedMemory(t *testing.T) {
 }
 
 func TestPackagingAssembly(t *testing.T) {
-	c1, err := DefaultPackaging.Assembly(1)
+	pkg := Packaging{PerDie: 150, PerBond: 30}
+	c1, err := pkg.Assembly(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	near(t, "single die", c1.Grams(), DefaultPackaging.PerDie.Grams(), 1e-12)
-	c5, _ := DefaultPackaging.Assembly(5)
-	want := DefaultPackaging.PerDie + 4*DefaultPackaging.PerBond
+	near(t, "single die", c1.Grams(), pkg.PerDie.Grams(), 1e-12)
+	c5, _ := pkg.Assembly(5)
+	want := pkg.PerDie + 4*pkg.PerBond
 	near(t, "5-die stack", c5.Grams(), want.Grams(), 1e-12)
-	if _, err := DefaultPackaging.Assembly(0); err == nil {
+	if _, err := pkg.Assembly(0); err == nil {
 		t.Error("0-die package should error")
 	}
-}
-
-// ---- system BOM ----
-
-func TestSystemEmbodied(t *testing.T) {
-	sys := ReferenceVRHeadset()
-	total, err := sys.Embodied()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Consumer-device scale: tens of kg CO2e.
-	if total < 15e3 || total > 80e3 {
-		t.Errorf("headset embodied = %v, expected tens of kgCO2e", total)
-	}
-	// Component sum equals the total.
-	var sum units.Carbon
-	for _, c := range sys.Components {
-		e, err := sys.ComponentEmbodied(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e <= 0 {
-			t.Errorf("component %s has non-positive footprint", c.Name)
-		}
-		sum += e
-	}
-	near(t, "component sum", sum.Grams(), total.Grams(), 1e-12)
-}
-
-func TestSystemEmbodiedMasked(t *testing.T) {
-	sys := ReferenceVRHeadset()
-	all, _ := sys.Embodied()
-	// Drop the display: total decreases by exactly its fixed footprint.
-	mask := make([]bool, len(sys.Components))
-	var displayCarbon units.Carbon
-	for i, c := range sys.Components {
-		mask[i] = c.Name != "display"
-		if c.Name == "display" {
-			displayCarbon = c.Fixed
-		}
-	}
-	masked, err := sys.EmbodiedMasked(mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	near(t, "masked", masked.Grams(), all.Grams()-displayCarbon.Grams(), 1e-12)
-	// Bad mask length errors.
-	if _, err := sys.EmbodiedMasked([]bool{true}); err == nil {
-		t.Error("mask length mismatch should error")
-	}
-}
-
-func TestSystemComponentValidation(t *testing.T) {
-	sys := &System{Name: "bad", Fab: FabCoal, Components: []Component{{Name: "ghost", Fixed: -1}}}
-	if _, err := sys.Embodied(); err == nil {
-		t.Error("unspecified component should error")
-	}
-	// Die with default yield uses 1.
-	die := &System{Name: "d", Fab: FabCoal, Components: []Component{
-		{Name: "chip", Die: 1, Process: Process7nm()},
-	}}
-	got, err := die.Embodied()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := Process7nm().EmbodiedDie(FabCoal, 1, 1)
-	near(t, "default yield", got.Grams(), want.Grams(), 1e-12)
 }

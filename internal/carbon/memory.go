@@ -71,9 +71,6 @@ type Packaging struct {
 	PerBond units.Carbon
 }
 
-// DefaultPackaging is the packaging model used by the accelerator studies.
-var DefaultPackaging = Packaging{PerDie: 150, PerBond: 30}
-
 // Assembly returns the packaging footprint of a stack of n dice: one package
 // plus n−1 bonding interfaces. n must be at least 1.
 func (p Packaging) Assembly(dice int) (units.Carbon, error) {

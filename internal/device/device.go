@@ -43,25 +43,27 @@ type Node struct {
 	LeakScale  float64 // leakage per unit width, normalized to 7 nm
 }
 
+// nodes is the technology-node table from 28 nm down to 3 nm, oldest first.
+// Nodes hands out copies; lookups read it in place.
+var nodes = [...]Node{
+	{"28nm", 28, 2.9, 0.42, 7.0, 0.90, 0.38, 0.45},
+	{"20nm", 20, 2.3, 0.52, 4.7, 0.85, 0.36, 0.55},
+	{"14nm", 14, 1.8, 0.65, 2.9, 0.80, 0.34, 0.70},
+	{"10nm", 10, 1.35, 0.82, 1.7, 0.75, 0.32, 0.85},
+	{"7nm", 7, 1.0, 1.0, 1.0, 0.70, 0.30, 1.0},
+	{"5nm", 5, 0.82, 1.12, 0.65, 0.65, 0.28, 1.25},
+	{"3nm", 3, 0.70, 1.22, 0.45, 0.60, 0.26, 1.55},
+}
+
 // Nodes returns the supported technology nodes from 28 nm down to 3 nm,
 // ordered from oldest to newest.
-func Nodes() []Node {
-	return []Node{
-		{"28nm", 28, 2.9, 0.42, 7.0, 0.90, 0.38, 0.45},
-		{"20nm", 20, 2.3, 0.52, 4.7, 0.85, 0.36, 0.55},
-		{"14nm", 14, 1.8, 0.65, 2.9, 0.80, 0.34, 0.70},
-		{"10nm", 10, 1.35, 0.82, 1.7, 0.75, 0.32, 0.85},
-		{"7nm", 7, 1.0, 1.0, 1.0, 0.70, 0.30, 1.0},
-		{"5nm", 5, 0.82, 1.12, 0.65, 0.65, 0.28, 1.25},
-		{"3nm", 3, 0.70, 1.22, 0.45, 0.60, 0.26, 1.55},
-	}
-}
+func Nodes() []Node { return append([]Node(nil), nodes[:]...) }
 
 // NodeByName returns the node with the given name.
 func NodeByName(name string) (Node, error) {
-	for _, n := range Nodes() {
-		if n.Name == name {
-			return n, nil
+	for i := range nodes {
+		if nodes[i].Name == name {
+			return nodes[i], nil
 		}
 	}
 	return Node{}, fmt.Errorf("device: unknown technology node %q", name)

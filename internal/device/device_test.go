@@ -44,6 +44,23 @@ func TestNodeByName(t *testing.T) {
 	}
 }
 
+// Node lookups read the one package-level table: grid compilation calls
+// them once per node-axis entry, so they must not rebuild it. Nodes hands
+// out a copy the caller may modify.
+func TestNodeLookupAllocs(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { _, _ = NodeByName("3nm") }); a != 0 {
+		t.Errorf("NodeByName allocates %v times per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = Node7nm() }); a != 0 {
+		t.Errorf("Node7nm allocates %v times per call, want 0", a)
+	}
+	ns := Nodes()
+	ns[0].Name = "changed"
+	if Nodes()[0].Name == "changed" {
+		t.Error("Nodes must return a copy of the table")
+	}
+}
+
 func TestValidate(t *testing.T) {
 	d := NewDesign(Node7nm())
 	if err := d.Validate(); err != nil {

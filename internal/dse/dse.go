@@ -167,11 +167,6 @@ func (s *Space) EverOptimal() []int {
 	return pareto.Envelope(s.lagrangePoints())
 }
 
-// ParetoFront returns the (larger) dominance front on (E·D, C_emb·D).
-func (s *Space) ParetoFront() []int {
-	return pareto.Front(s.lagrangePoints())
-}
-
 // EliminatedFraction returns the share of the design space that can never be
 // tCDP-optimal — the §VI-B "eliminate up to 98 % of the design space" figure.
 func (s *Space) EliminatedFraction() float64 {

@@ -13,10 +13,12 @@ import (
 )
 
 // fig8Grid is the Fig. 8 design space expressed as a knob grid (defaults:
-// nominal V_DD, 7 nm).
+// nominal V_DD, 7 nm): accel.Grid()'s MAC-array and SRAM (MB) axes.
 func fig8Grid() Grid {
-	macs, sram := accel.GridOptions()
-	return Grid{MACArrays: macs, SRAMMB: sram}
+	return Grid{
+		MACArrays: []int{1, 2, 4, 8, 16, 32, 64, 96, 128, 192, 256},
+		SRAMMB:    []float64{1, 2, 4, 8, 16, 32, 48, 64, 96, 128, 192},
+	}
 }
 
 func paperTask(t testing.TB, name string) workload.Task {

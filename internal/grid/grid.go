@@ -276,21 +276,3 @@ func Integrate(tr Trace, p PowerProfile, life units.Time, steps int) (units.Carb
 	}
 	return units.Carbon(sum), nil
 }
-
-// AverageCI returns the time-average carbon intensity of a trace over
-// [0, life] through the cumulative-trace engine — exact for closed-form
-// trace shapes. The steps parameter is retained for call-site compatibility
-// and only validated.
-func AverageCI(tr Trace, life units.Time, steps int) (units.CarbonIntensity, error) {
-	if life <= 0 {
-		return 0, fmt.Errorf("grid: lifetime must be positive, got %v", life)
-	}
-	if steps < 1 {
-		return 0, fmt.Errorf("grid: need at least one integration step, got %d", steps)
-	}
-	cum, err := NewCumulative(tr, life)
-	if err != nil {
-		return 0, err
-	}
-	return cum.AverageBetween(0, life)
-}

@@ -160,13 +160,23 @@ func TestIntegrateTimeVaryingPower(t *testing.T) {
 	near(t, "half-on power", got.Grams(), want.Grams(), 1e-3)
 }
 
+// averageCI is the time-average carbon intensity of tr over [0, life]
+// through the cumulative-trace engine.
+func averageCI(tr Trace, life units.Time) (units.CarbonIntensity, error) {
+	cum, err := NewCumulative(tr, life)
+	if err != nil {
+		return 0, err
+	}
+	return cum.AverageBetween(0, life)
+}
+
 func TestAverageCI(t *testing.T) {
-	avg, err := AverageCI(Ramp{Start: 400, End: 200, Span: units.Years(1)}, units.Years(1), 1000)
+	avg, err := averageCI(Ramp{Start: 400, End: 200, Span: units.Years(1)}, units.Years(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	near(t, "avg CI", avg.GramsPerKWh(), 300, 1e-6)
-	if _, err := AverageCI(Constant{Intensity: 1}, 0, 10); err == nil {
+	if _, err := averageCI(Constant{Intensity: 1}, 0); err == nil {
 		t.Error("zero lifetime should error")
 	}
 }
@@ -251,7 +261,7 @@ func TestCaliforniaDuckShape(t *testing.T) {
 		t.Errorf("duck shape broken: noon %v, night %v, evening %v", noon, evening, night)
 	}
 	// Integrates cleanly over a day.
-	avg, err := AverageCI(duck, units.Days(1), 2400)
+	avg, err := averageCI(duck, units.Days(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"fmt"
 	"sort"
 
 	"cordoba/internal/units"
@@ -83,18 +82,4 @@ func NamedTraces() []Trace {
 	}
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Name() < ts[j].Name() })
 	return ts
-}
-
-// TraceByName resolves a reference trace by its Name().
-func TraceByName(name string) (Trace, error) {
-	for _, t := range NamedTraces() {
-		if t.Name() == name {
-			return t, nil
-		}
-	}
-	names := make([]string, 0, 6)
-	for _, t := range NamedTraces() {
-		names = append(names, t.Name())
-	}
-	return nil, fmt.Errorf("grid: unknown trace %q (have: %v)", name, names)
 }

@@ -102,7 +102,7 @@ func TestCASAdoptionOnSubmit(t *testing.T) {
 		return json.RawMessage(`{"done":true}`), nil
 	})
 	m.Start()
-	st, err := m.Submit("dse", req)
+	st, err := m.SubmitJob(Submission{Kind: "dse", Request: req})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCASNoAdoptionFromLiveJob(t *testing.T) {
 	})
 	m.Start()
 	req := json.RawMessage(`{"sweep":"live"}`)
-	first, err := m.Submit("dse", req)
+	first, err := m.SubmitJob(Submission{Kind: "dse", Request: req})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCASNoAdoptionFromLiveJob(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	second, err := m.Submit("dse", req)
+	second, err := m.SubmitJob(Submission{Kind: "dse", Request: req})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestWatchFullLifecycle(t *testing.T) {
 		}
 		return json.RawMessage(`{"ok":true}`), nil
 	})
-	st, err := m.Submit("work", json.RawMessage(`{}`))
+	st, err := m.SubmitJob(Submission{Kind: "work", Request: json.RawMessage(`{}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestWatchTerminalJob(t *testing.T) {
 		return json.RawMessage(`{}`), nil
 	})
 	m.Start()
-	st, err := m.Submit("noop", nil)
+	st, err := m.SubmitJob(Submission{Kind: "noop"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestWatchCancelReleases(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	})
-	st, err := m.Submit("block", nil)
+	st, err := m.SubmitJob(Submission{Kind: "block"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestWatchSlowConsumerDropsOldest(t *testing.T) {
 		}
 		return json.RawMessage(`{}`), nil
 	})
-	st, err := m.Submit("chatty", nil)
+	st, err := m.SubmitJob(Submission{Kind: "chatty"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestProgressFramesPaced(t *testing.T) {
 		seqOf := func() int64 {
 			m.mu.Lock()
 			defer m.mu.Unlock()
-			return m.jobs[rc.JobID()].seq
+			return m.jobs[rc.(*runContext).j.id].seq
 		}
 		start := time.Now()
 		for i := int64(1); i <= reports; i++ {
@@ -201,7 +201,7 @@ func TestProgressFramesPaced(t *testing.T) {
 				runErr = fmt.Errorf("report %d moved seq %d -> %d, want +1", i, before, after)
 				break
 			}
-			st, err := m.Get(rc.JobID())
+			st, err := m.Get(rc.(*runContext).j.id)
 			if err != nil {
 				runErr = err
 				break
@@ -214,7 +214,7 @@ func TestProgressFramesPaced(t *testing.T) {
 		elapsed = time.Since(start)
 		return json.RawMessage(`{}`), runErr
 	})
-	st, err := m.Submit("burst", nil)
+	st, err := m.SubmitJob(Submission{Kind: "burst"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -280,15 +280,15 @@ func TestTenantQuotas(t *testing.T) {
 	}
 }
 
-// TestAnonymousCompatSubmit pins that the one-argument Submit keeps the
-// single-tenant wire shape: no tenant name, batch priority implied.
+// TestAnonymousCompatSubmit pins that a submission without a tenant keeps
+// the single-tenant wire shape: no tenant name, batch priority implied.
 func TestAnonymousCompatSubmit(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 1})
 	m.SetRunner("noop", func(ctx context.Context, rc RunContext) (json.RawMessage, error) {
 		return json.RawMessage(`{}`), nil
 	})
 	m.Start()
-	st, err := m.Submit("noop", json.RawMessage(`{}`))
+	st, err := m.SubmitJob(Submission{Kind: "noop", Request: json.RawMessage(`{}`)})
 	if err != nil {
 		t.Fatal(err)
 	}

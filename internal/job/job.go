@@ -114,8 +114,6 @@ type Runner func(ctx context.Context, rc RunContext) (json.RawMessage, error)
 // can wrap a manager's implementation to, e.g., block inside SaveCheckpoint
 // and interrupt a job at an exact point.
 type RunContext interface {
-	// JobID returns the job's identifier.
-	JobID() string
 	// Request returns the submitted request payload.
 	Request() json.RawMessage
 	// Checkpoint returns the last saved checkpoint, nil on a fresh start.

@@ -288,12 +288,6 @@ func (m *Manager) Stop(ctx context.Context) error {
 	}
 }
 
-// Submit enqueues a request under the given kind for the anonymous tenant
-// at batch priority — the single-tenant compatibility form of SubmitJob.
-func (m *Manager) Submit(kind string, req json.RawMessage) (Status, error) {
-	return m.SubmitJob(Submission{Kind: kind, Request: req})
-}
-
 // SubmitJob enqueues a fully-specified submission and returns the queued
 // job's status. A full global queue returns ErrQueueFull; a tenant over one
 // of its limits returns a *QuotaError.
@@ -745,8 +739,6 @@ type runContext struct {
 	m *Manager
 	j *job
 }
-
-func (rc *runContext) JobID() string { return rc.j.id }
 
 func (rc *runContext) Request() json.RawMessage {
 	rc.m.mu.Lock()

@@ -54,7 +54,7 @@ func TestSubmitRunResult(t *testing.T) {
 		return rc.Request(), nil
 	})
 	m.Start()
-	st, err := m.Submit("echo", json.RawMessage(`{"x":1}`))
+	st, err := m.SubmitJob(Submission{Kind: "echo", Request: json.RawMessage(`{"x":1}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSubmitRunResult(t *testing.T) {
 
 func TestSubmitUnknownKind(t *testing.T) {
 	m := newTestManager(t, Config{})
-	if _, err := m.Submit("nope", nil); !errors.Is(err, ErrUnknownKind) {
+	if _, err := m.SubmitJob(Submission{Kind: "nope"}); !errors.Is(err, ErrUnknownKind) {
 		t.Fatalf("err = %v, want ErrUnknownKind", err)
 	}
 }
@@ -96,18 +96,18 @@ func TestQueueFull(t *testing.T) {
 		}
 	})
 	m.Start()
-	first, err := m.Submit("block", nil)
+	first, err := m.SubmitJob(Submission{Kind: "block"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, m, first.ID, StateRunning)
 	// Queue depth 2: two more fit, the third is rejected.
 	for i := 0; i < 2; i++ {
-		if _, err := m.Submit("block", nil); err != nil {
+		if _, err := m.SubmitJob(Submission{Kind: "block"}); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if _, err := m.Submit("block", nil); !errors.Is(err, ErrQueueFull) {
+	if _, err := m.SubmitJob(Submission{Kind: "block"}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	if m.RetryAfter() <= 0 {
@@ -129,7 +129,7 @@ func TestCancelRunning(t *testing.T) {
 		return nil, ctx.Err()
 	})
 	m.Start()
-	st, err := m.Submit("wait", nil)
+	st, err := m.SubmitJob(Submission{Kind: "wait"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +162,9 @@ func TestCancelQueued(t *testing.T) {
 		return nil, ctx.Err()
 	})
 	m.Start()
-	first, _ := m.Submit("block", nil)
+	first, _ := m.SubmitJob(Submission{Kind: "block"})
 	waitState(t, m, first.ID, StateRunning)
-	queued, err := m.Submit("block", nil)
+	queued, err := m.SubmitJob(Submission{Kind: "block"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestRunnerErrorFailsJob(t *testing.T) {
 		return nil, fmt.Errorf("kaput")
 	})
 	m.Start()
-	st, _ := m.Submit("boom", nil)
+	st, _ := m.SubmitJob(Submission{Kind: "boom"})
 	fin := waitState(t, m, st.ID, StateFailed)
 	if !strings.Contains(fin.Error, "kaput") {
 		t.Fatalf("error = %q", fin.Error)
@@ -203,7 +203,7 @@ func TestRunnerPanicFailsJob(t *testing.T) {
 		panic("oh no")
 	})
 	m.Start()
-	st, _ := m.Submit("panic", nil)
+	st, _ := m.SubmitJob(Submission{Kind: "panic"})
 	fin := waitState(t, m, st.ID, StateFailed)
 	if !strings.Contains(fin.Error, "panic") {
 		t.Fatalf("error = %q", fin.Error)
@@ -218,7 +218,7 @@ func TestListNewestFirst(t *testing.T) {
 	m.Start()
 	var ids []string
 	for i := 0; i < 3; i++ {
-		st, err := m.Submit("echo", nil)
+		st, err := m.SubmitJob(Submission{Kind: "echo"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestCrashResumeWithCheckpoint(t *testing.T) {
 		return nil, ctx.Err()
 	})
 	m1.Start()
-	st, err := m1.Submit("count", json.RawMessage(`{"n":10}`))
+	st, err := m1.SubmitJob(Submission{Kind: "count", Request: json.RawMessage(`{"n":10}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestRecoveryKeepsTerminalHistory(t *testing.T) {
 		return json.RawMessage(`{"ok":true}`), nil
 	})
 	m1.Start()
-	st, _ := m1.Submit("echo", nil)
+	st, _ := m1.SubmitJob(Submission{Kind: "echo"})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	done := waitStateM(t, m1, st.ID, StateSucceeded)
@@ -358,7 +358,7 @@ func TestHistoryPruned(t *testing.T) {
 	m.Start()
 	var last Status
 	for i := 0; i < 5; i++ {
-		st, err := m.Submit("echo", nil)
+		st, err := m.SubmitJob(Submission{Kind: "echo"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +375,7 @@ func TestHistoryPruned(t *testing.T) {
 		}
 		return nil, ctx.Err()
 	})
-	if _, err := m.Submit("block", nil); err != nil {
+	if _, err := m.SubmitJob(Submission{Kind: "block"}); err != nil {
 		t.Fatal(err)
 	}
 	term := 0
@@ -417,7 +417,7 @@ func TestStopIdempotentAndSubmitAfterStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Submissions after stop queue but never run; they must not wedge.
-	if _, err := m.Submit("echo", nil); err != nil {
+	if _, err := m.SubmitJob(Submission{Kind: "echo"}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -12,7 +12,6 @@ package lifecycle
 
 import (
 	"fmt"
-	"math"
 
 	"cordoba/internal/carbon"
 	"cordoba/internal/device"
@@ -249,13 +248,4 @@ func (s Service) EnergyVersusEmbodied(frequent, keep units.Time) (energyRatio, e
 		return 0, 0, fmt.Errorf("lifecycle: degenerate keep policy")
 	}
 	return f.Energy.Joules() / k.Energy.Joules(), f.Embodied.Grams() / k.Embodied.Grams(), nil
-}
-
-// AmortizedEmbodiedRate returns embodied carbon per operational hour for a
-// policy — the eq. IV.3 amortization view.
-func (o Outcome) AmortizedEmbodiedRate(horizon units.Time) units.Carbon {
-	if horizon <= 0 {
-		return units.Carbon(math.NaN())
-	}
-	return o.Embodied / units.Carbon(horizon.InHours())
 }

@@ -195,19 +195,6 @@ func TestSweepAndErrors(t *testing.T) {
 	}
 }
 
-func TestAmortizedEmbodiedRate(t *testing.T) {
-	s := DefaultService()
-	o, _ := s.Evaluate(units.Years(5))
-	rate := o.AmortizedEmbodiedRate(s.Horizon)
-	want := o.Embodied.Grams() / s.Horizon.InHours()
-	if math.Abs(rate.Grams()-want) > 1e-9*want {
-		t.Errorf("rate = %v, want %v", rate, want)
-	}
-	if !math.IsNaN(o.AmortizedEmbodiedRate(0).Grams()) {
-		t.Error("zero horizon should be NaN")
-	}
-}
-
 // Total energy is conserved: the sum over segments equals rate × horizon ×
 // (time-weighted mean per-task energy); check via the two-node split.
 func TestEnergyAccounting(t *testing.T) {

@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"math"
-
 	"cordoba/internal/units"
 )
 
@@ -200,15 +198,4 @@ func (s CarbonScenario) Evaluate(ics []IC) []CarbonRow {
 // precisely quantified by relative tCDP (throughput ∝ tCDP⁻¹).
 func (r CarbonRow) ThroughputTCDPProduct() float64 {
 	return r.Throughput * r.TCDP
-}
-
-// BestCarbonRow returns the index of the row with the lowest tCDP, or -1.
-func BestCarbonRow(rows []CarbonRow) int {
-	best, bestV := -1, math.Inf(1)
-	for i, r := range rows {
-		if r.TCDP < bestV {
-			best, bestV = i, r.TCDP
-		}
-	}
-	return best
 }

@@ -68,16 +68,6 @@ func (r Report) TCD2P() float64 {
 	return r.TotalCarbon().Grams() * d * d
 }
 
-// CarbonEfficiency returns tCDP⁻¹, the y-axis of Fig. 8 (higher is better).
-// It returns 0 when tCDP is zero or not finite.
-func (r Report) CarbonEfficiency() float64 {
-	t := r.TCDP()
-	if t == 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-		return 0
-	}
-	return 1 / t
-}
-
 // CCI returns the Computational Carbon Intensity: total carbon divided by the
 // number of task executions (gCO2e per task, ref. Junkyard Computing [50]).
 // It returns an error when the report does not carry a task count.
@@ -151,24 +141,4 @@ func (o Objective) Score(r Report) float64 {
 	default:
 		return math.NaN()
 	}
-}
-
-// Best returns the index of the report minimizing objective o, or -1 when
-// reports is empty. Ties go to the earliest report, which makes selection
-// deterministic for table reproduction.
-func Best(o Objective, reports []Report) int {
-	best, bestScore := -1, math.Inf(1)
-	for i, r := range reports {
-		if s := o.Score(r); s < bestScore {
-			best, bestScore = i, s
-		}
-	}
-	return best
-}
-
-// Normalize returns score(r)/score(baseline) under objective o — the "×"
-// improvement factors quoted throughout §VI are baselines divided by
-// optimized values, i.e. Normalize(baseline, optimized).
-func Normalize(o Objective, baseline, optimized Report) float64 {
-	return o.Score(baseline) / o.Score(optimized)
 }

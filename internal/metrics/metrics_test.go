@@ -39,7 +39,6 @@ func TestReportDerivedMetrics(t *testing.T) {
 	near(t, "ED2P", r.ED2P(), 12, 1e-12)
 	near(t, "tCDP", r.TCDP(), 30, 1e-12)
 	near(t, "tCD2P", r.TCD2P(), 60, 1e-12)
-	near(t, "eff", r.CarbonEfficiency(), 1.0/30, 1e-12)
 	cci, err := r.CCI()
 	if err != nil {
 		t.Fatalf("CCI: %v", err)
@@ -59,18 +58,6 @@ func TestCCIWithoutTaskCount(t *testing.T) {
 	}
 }
 
-func TestCarbonEfficiencyDegenerate(t *testing.T) {
-	var r Report
-	if e := r.CarbonEfficiency(); e != 0 {
-		t.Fatalf("zero report efficiency = %v, want 0", e)
-	}
-	r.Delay = units.Time(math.Inf(1))
-	r.EmbodiedCarbon = 1
-	if e := r.CarbonEfficiency(); e != 0 {
-		t.Fatalf("inf tCDP efficiency = %v, want 0", e)
-	}
-}
-
 func TestObjectiveStrings(t *testing.T) {
 	for o := MinEnergy; o <= MinTCD2P; o++ {
 		if s := o.String(); s == "" || s[0] == 'O' {
@@ -86,30 +73,30 @@ func TestObjectiveStrings(t *testing.T) {
 }
 
 func TestBestSelectsMinimum(t *testing.T) {
+	best := func(o Objective, reports []Report) int {
+		b, bestScore := -1, math.Inf(1)
+		for i, r := range reports {
+			if s := o.Score(r); s < bestScore {
+				b, bestScore = i, s
+			}
+		}
+		return b
+	}
 	rs := []Report{
 		{Name: "slow", Delay: 10, Energy: 1, EmbodiedCarbon: 1},
 		{Name: "fast", Delay: 1, Energy: 2, EmbodiedCarbon: 5},
 		{Name: "mid", Delay: 3, Energy: 1.5, EmbodiedCarbon: 2},
 	}
-	if i := Best(MinDelay, rs); rs[i].Name != "fast" {
+	if i := best(MinDelay, rs); rs[i].Name != "fast" {
 		t.Errorf("MinDelay picked %s", rs[i].Name)
 	}
-	if i := Best(MinEnergy, rs); rs[i].Name != "slow" {
+	if i := best(MinEnergy, rs); rs[i].Name != "slow" {
 		t.Errorf("MinEnergy picked %s", rs[i].Name)
 	}
-	if i := Best(MinTCDP, rs); rs[i].Name != "fast" {
+	if i := best(MinTCDP, rs); rs[i].Name != "fast" {
 		// tCDP: slow=10, fast=5, mid=6.
 		t.Errorf("MinTCDP picked %s", rs[i].Name)
 	}
-	if Best(MinEDP, nil) != -1 {
-		t.Error("Best of empty slice should be -1")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	base := Report{Delay: 2, Energy: 2}
-	opt := Report{Delay: 1, Energy: 1}
-	near(t, "normalize", Normalize(MinEDP, base, opt), 4, 1e-12)
 }
 
 // ---- Table I ----
@@ -190,17 +177,20 @@ func TestTableIIReproduction(t *testing.T) {
 
 	// Headline claims: "E" is tCDP-optimal with the highest throughput;
 	// "A" has the lowest tC (and CCI) but is the slowest.
-	if i := BestCarbonRow(rows); rows[i].IC.Name != "E" {
-		t.Errorf("tCDP-optimal = %s, want E", rows[i].IC.Name)
-	}
-	maxTP, minTC := 0, 0
+	minTCDP, maxTP, minTC := 0, 0, 0
 	for i, r := range rows {
+		if r.TCDP < rows[minTCDP].TCDP {
+			minTCDP = i
+		}
 		if r.Throughput > rows[maxTP].Throughput {
 			maxTP = i
 		}
 		if r.TotalCarbon < rows[minTC].TotalCarbon {
 			minTC = i
 		}
+	}
+	if rows[minTCDP].IC.Name != "E" {
+		t.Errorf("tCDP-optimal = %s, want E", rows[minTCDP].IC.Name)
 	}
 	if rows[maxTP].IC.Name != "E" {
 		t.Errorf("max throughput = %s, want E", rows[maxTP].IC.Name)

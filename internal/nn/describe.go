@@ -3,10 +3,7 @@ package nn
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
-
-	"cordoba/internal/units"
 )
 
 // ArithmeticIntensity returns the layer's MACs per byte of activation+weight
@@ -55,27 +52,4 @@ func truncate(s string, n int) string {
 		return s
 	}
 	return s[:n-1] + "…"
-}
-
-// HeaviestLayers returns the k layers with the largest working sets, largest
-// first — the layers that size the activation SRAM (§V).
-func (n *Network) HeaviestLayers(k int) []Layer {
-	layers := append([]Layer(nil), n.Layers...)
-	// Insertion-sort by working set; layer counts are small.
-	for i := 1; i < len(layers); i++ {
-		for j := i; j > 0 && layers[j].WorkingSet() > layers[j-1].WorkingSet(); j-- {
-			layers[j], layers[j-1] = layers[j-1], layers[j]
-		}
-	}
-	if k > len(layers) {
-		k = len(layers)
-	}
-	return layers[:k]
-}
-
-// SRAMToFit returns the smallest activation SRAM (in whole MiB) that
-// contains every layer's working set — the §V provisioning question.
-func (n *Network) SRAMToFit() units.Bytes {
-	peak := n.Stats().PeakActivation
-	return units.MB(math.Ceil(peak.InMB()))
 }

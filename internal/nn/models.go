@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -79,15 +78,6 @@ func Kernel(id KernelID) (*Network, error) {
 	return n, nil
 }
 
-// MustKernel is Kernel for static IDs; it panics on unknown IDs.
-func MustKernel(id KernelID) *Network {
-	n, err := Kernel(id)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 var kernelBuilders = map[KernelID]func() *Network{
 	RN18:   buildResNet18,
 	RN50:   func() *Network { return buildResNetBottleneck("RN-50", []int{3, 4, 6, 3}) },
@@ -104,14 +94,6 @@ var kernelBuilders = map[KernelID]func() *Network{
 	SR256:  func() *Network { return buildSR("SR-256x256", 256) },
 	SR512:  func() *Network { return buildSR("SR-512x512", 512) },
 	SR1024: func() *Network { return buildSR("SR-1024x1024", 1024) },
-}
-
-// SortedKernelIDs returns the kernel IDs sorted lexicographically (useful for
-// deterministic table output).
-func SortedKernelIDs() []KernelID {
-	ids := AllKernels()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // ---- classification backbones (the AI kernels) ----

@@ -174,6 +174,15 @@ func TestAllKernelsBuildAndValidate(t *testing.T) {
 	}
 }
 
+// mustKernel is Kernel for the static IDs the tests use.
+func mustKernel(id KernelID) *Network {
+	n, err := Kernel(id)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 func TestKernelCacheAndErrors(t *testing.T) {
 	a, _ := Kernel(RN18)
 	b, _ := Kernel(RN18)
@@ -182,24 +191,6 @@ func TestKernelCacheAndErrors(t *testing.T) {
 	}
 	if _, err := Kernel("nope"); err == nil {
 		t.Error("unknown kernel should error")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustKernel should panic on unknown id")
-		}
-	}()
-	MustKernel("nope")
-}
-
-func TestSortedKernelIDs(t *testing.T) {
-	ids := SortedKernelIDs()
-	for i := 1; i < len(ids); i++ {
-		if ids[i] < ids[i-1] {
-			t.Fatalf("not sorted at %d", i)
-		}
-	}
-	if len(ids) != 15 {
-		t.Fatalf("len = %d", len(ids))
 	}
 }
 
@@ -215,7 +206,7 @@ func TestBackboneMACCounts(t *testing.T) {
 		MN2:   0.31e9,
 	}
 	for id, macs := range want {
-		got := MustKernel(id).Stats().MACs
+		got := mustKernel(id).Stats().MACs
 		if math.Abs(got-macs) > 0.15*macs {
 			t.Errorf("%s: MACs = %.3g, want ≈%.3g", id, got, macs)
 		}
@@ -232,7 +223,7 @@ func TestBackboneParamCounts(t *testing.T) {
 		MN2:   3.5e6,
 	}
 	for id, params := range want {
-		got := MustKernel(id).Stats().Params
+		got := mustKernel(id).Stats().Params
 		if math.Abs(got-params) > 0.15*params {
 			t.Errorf("%s: params = %.3g, want ≈%.3g", id, got, params)
 		}
@@ -242,7 +233,7 @@ func TestBackboneParamCounts(t *testing.T) {
 // §V: XR kernels with high activation requirements (depth estimation, image
 // denoising, super-resolution) must dwarf the classification backbones.
 func TestActivationMemoryCategorization(t *testing.T) {
-	peak := func(id KernelID) units.Bytes { return MustKernel(id).Stats().PeakActivation }
+	peak := func(id KernelID) units.Bytes { return mustKernel(id).Stats().PeakActivation }
 	heavy := []KernelID{Agg3D, HRN, DN, UNet, SR512, SR1024}
 	light := []KernelID{RN18, RN50, RN152, GN, MN2, ET, JLP}
 	minHeavy := units.Bytes(math.Inf(1))
@@ -267,9 +258,9 @@ func TestActivationMemoryCategorization(t *testing.T) {
 // §V: super-resolution working sets grow with resolution; SR-1024 must
 // exceed 16 MB so that even large on-chip SRAM barely contains it.
 func TestSuperResolutionScaling(t *testing.T) {
-	p256 := MustKernel(SR256).Stats().PeakActivation
-	p512 := MustKernel(SR512).Stats().PeakActivation
-	p1024 := MustKernel(SR1024).Stats().PeakActivation
+	p256 := mustKernel(SR256).Stats().PeakActivation
+	p512 := mustKernel(SR512).Stats().PeakActivation
+	p1024 := mustKernel(SR1024).Stats().PeakActivation
 	if !(p256 < p512 && p512 < p1024) {
 		t.Fatalf("SR peaks not increasing: %v %v %v", p256, p512, p1024)
 	}
@@ -283,7 +274,7 @@ func TestSuperResolutionScaling(t *testing.T) {
 }
 
 func TestStatsAggregation(t *testing.T) {
-	n := MustKernel(RN18)
+	n := mustKernel(RN18)
 	s := n.Stats()
 	if s.Layers != len(n.Layers) {
 		t.Errorf("layer count mismatch")
@@ -314,8 +305,8 @@ func TestValidateCatchesBadShapes(t *testing.T) {
 func TestArithmeticIntensity(t *testing.T) {
 	// Depthwise-separable MobileNet-V2 has far less reuse per byte than the
 	// dense-convolution ResNet-50.
-	rn50 := MustKernel(RN50).Stats().ArithmeticIntensity()
-	mn2 := MustKernel(MN2).Stats().ArithmeticIntensity()
+	rn50 := mustKernel(RN50).Stats().ArithmeticIntensity()
+	mn2 := mustKernel(MN2).Stats().ArithmeticIntensity()
 	if rn50 <= 0 || mn2 <= 0 {
 		t.Fatal("degenerate intensities")
 	}
@@ -324,7 +315,7 @@ func TestArithmeticIntensity(t *testing.T) {
 	}
 	// SR-1024 is capacity-bound, not traffic-bound: high intensity but a
 	// working set beyond even large SRAMs.
-	sr := MustKernel(SR1024).Stats()
+	sr := mustKernel(SR1024).Stats()
 	if sr.ArithmeticIntensity() <= 0 {
 		t.Fatal("degenerate SR intensity")
 	}
@@ -332,7 +323,7 @@ func TestArithmeticIntensity(t *testing.T) {
 		t.Errorf("SR-1024 activations (%v) should dwarf its weights (%v)", sr.PeakActivation, sr.WeightBytes)
 	}
 	// Layer-level: pools have zero MACs, hence zero intensity.
-	for _, l := range MustKernel(RN18).Layers {
+	for _, l := range mustKernel(RN18).Layers {
 		if l.Kind == OpPool && l.ArithmeticIntensity() != 0 {
 			t.Errorf("pool layer %s has nonzero intensity", l.Name)
 		}
@@ -345,7 +336,7 @@ func TestArithmeticIntensity(t *testing.T) {
 
 func TestDescribe(t *testing.T) {
 	var b strings.Builder
-	if err := MustKernel(MN2).Describe(&b); err != nil {
+	if err := mustKernel(MN2).Describe(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -355,40 +346,20 @@ func TestDescribe(t *testing.T) {
 		}
 	}
 	// One line per layer plus header/footer lines.
-	if lines := strings.Count(out, "\n"); lines != len(MustKernel(MN2).Layers)+3 {
-		t.Errorf("describe lines = %d, want %d", lines, len(MustKernel(MN2).Layers)+3)
+	if lines := strings.Count(out, "\n"); lines != len(mustKernel(MN2).Layers)+3 {
+		t.Errorf("describe lines = %d, want %d", lines, len(mustKernel(MN2).Layers)+3)
 	}
 }
 
 func TestHeaviestLayers(t *testing.T) {
-	net := MustKernel(SR512)
-	top := net.HeaviestLayers(3)
-	if len(top) != 3 {
-		t.Fatalf("got %d layers", len(top))
+	net := mustKernel(SR512)
+	// The heaviest layer's working set is the peak activation (§V sizes the
+	// activation SRAM by it).
+	var heaviest units.Bytes
+	for _, l := range net.Layers {
+		heaviest = max(heaviest, l.WorkingSet())
 	}
-	for i := 1; i < len(top); i++ {
-		if top[i].WorkingSet() > top[i-1].WorkingSet() {
-			t.Error("heaviest layers not sorted")
-		}
-	}
-	// The heaviest layer bounds the peak activation.
-	if top[0].WorkingSet() != net.Stats().PeakActivation {
-		t.Error("heaviest layer should equal peak activation")
-	}
-	if got := net.HeaviestLayers(10_000); len(got) != len(net.Layers) {
-		t.Error("overlong k should clamp")
-	}
-}
-
-func TestSRAMToFit(t *testing.T) {
-	for _, id := range AllKernels() {
-		net := MustKernel(id)
-		fit := net.SRAMToFit()
-		if fit < net.Stats().PeakActivation {
-			t.Errorf("%s: SRAMToFit %v below peak %v", id, fit, net.Stats().PeakActivation)
-		}
-		if fit-net.Stats().PeakActivation >= units.MiB+1 {
-			t.Errorf("%s: SRAMToFit %v over-rounds peak %v", id, fit, net.Stats().PeakActivation)
-		}
+	if heaviest != net.Stats().PeakActivation {
+		t.Errorf("heaviest layer %v, peak activation %v", heaviest, net.Stats().PeakActivation)
 	}
 }

@@ -33,12 +33,6 @@ func (p Point) valid() bool {
 	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
 }
 
-// Dominates reports whether p dominates q: p is no worse in both coordinates
-// and strictly better in at least one.
-func (p Point) Dominates(q Point) bool {
-	return p.X <= q.X && p.Y <= q.Y && (p.X < q.X || p.Y < q.Y)
-}
-
 // Front returns the indices of the non-dominated points, sorted by ascending
 // X (ties by ascending Y, then by index). Non-finite points are never on the
 // front. Duplicate coordinates are all retained: identical points do not

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Segment is one phase of a thread's life.
@@ -278,50 +277,4 @@ func SyntheticVR(name string, targetTLP float64, frames int, seed int64) *Worklo
 		remaining -= duty
 	}
 	return w
-}
-
-// Histogram converts a runnable-occupancy histogram to a fixed length by
-// folding overflow into the last bucket (for handing to soc.TLPProfile).
-func Histogram(occ []float64, buckets int) []float64 {
-	out := make([]float64, buckets)
-	for k, f := range occ {
-		idx := k
-		if idx >= buckets {
-			idx = buckets - 1
-		}
-		out[idx] += f
-	}
-	return out
-}
-
-// TopThreads returns the names of the threads with the largest compute
-// demand, most demanding first — the "top tasks account for most of the
-// computation" style of analysis in §VI-D.
-func TopThreads(w *Workload, k int) []string {
-	type demand struct {
-		name string
-		cpu  float64
-	}
-	ds := make([]demand, 0, len(w.Threads))
-	for _, t := range w.Threads {
-		total := 0.0
-		for _, s := range t.Burst {
-			total += s.Compute
-		}
-		ds = append(ds, demand{t.Name, total})
-	}
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].cpu != ds[j].cpu {
-			return ds[i].cpu > ds[j].cpu
-		}
-		return ds[i].name < ds[j].name
-	})
-	if k > len(ds) {
-		k = len(ds)
-	}
-	names := make([]string, k)
-	for i := 0; i < k; i++ {
-		names[i] = ds[i].name
-	}
-	return names
 }

@@ -166,9 +166,23 @@ func TestSyntheticVRDeterministic(t *testing.T) {
 	}
 }
 
+// histogram converts a runnable-occupancy histogram to a fixed length by
+// folding overflow into the last bucket (for handing to soc.TLPProfile).
+func histogram(occ []float64, buckets int) []float64 {
+	out := make([]float64, buckets)
+	for k, f := range occ {
+		idx := k
+		if idx >= buckets {
+			idx = buckets - 1
+		}
+		out[idx] += f
+	}
+	return out
+}
+
 func TestHistogramFolding(t *testing.T) {
 	occ := []float64{0.1, 0.2, 0.3, 0.2, 0.1, 0.1}
-	h := Histogram(occ, 4)
+	h := histogram(occ, 4)
 	near(t, "h[0]", h[0], 0.1, 1e-12)
 	near(t, "h[3]", h[3], 0.4, 1e-12) // 0.2+0.1+0.1 folded
 	sum := 0.0
@@ -176,24 +190,6 @@ func TestHistogramFolding(t *testing.T) {
 		sum += v
 	}
 	near(t, "sum", sum, 1.0, 1e-12)
-}
-
-func TestTopThreads(t *testing.T) {
-	w := &Workload{
-		Name: "w",
-		Threads: []Thread{
-			{Name: "small", Burst: []Segment{{Compute: 1}}},
-			{Name: "big", Burst: []Segment{{Compute: 10}}},
-			{Name: "mid", Burst: []Segment{{Compute: 5}}},
-		},
-	}
-	top := TopThreads(w, 2)
-	if len(top) != 2 || top[0] != "big" || top[1] != "mid" {
-		t.Errorf("top = %v", top)
-	}
-	if got := TopThreads(w, 99); len(got) != 3 {
-		t.Errorf("overlong k should clamp: %v", got)
-	}
 }
 
 // Cross-validation: the analytical work-conserving slowdown model of
@@ -207,7 +203,7 @@ func TestSocModelMatchesScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	var profile soc.TLPProfile
-	h := Histogram(ref.RunnableOccupancy, soc.MaxCores)
+	h := histogram(ref.RunnableOccupancy, soc.MaxCores)
 	copy(profile.Fraction[:], h)
 	if err := profile.Validate(); err != nil {
 		t.Fatal(err)

@@ -100,32 +100,6 @@ func FindWindow(cum *grid.Cumulative, req WindowRequest) (WindowPlan, error) {
 	})
 }
 
-// FindWindowNaive is the pre-engine reference implementation: every
-// candidate window is integrated from scratch with composite quadrature.
-// It exists for differential tests and the speedup benchmark; use
-// FindWindow.
-func FindWindowNaive(tr grid.Trace, req WindowRequest, steps int) (WindowPlan, error) {
-	if tr == nil {
-		return WindowPlan{}, fmt.Errorf("sched: nil trace")
-	}
-	step, err := req.validate()
-	if err != nil {
-		return WindowPlan{}, err
-	}
-	p := grid.ConstantPower(req.Power)
-	return searchWindows(req, step, func(t0, t1 units.Time) (units.Carbon, error) {
-		whole, err := grid.Integrate(tr, p, t1, steps)
-		if err != nil {
-			return 0, err
-		}
-		head, err := grid.Integrate(tr, p, t0, steps)
-		if err != nil {
-			return 0, err
-		}
-		return whole - head, nil
-	})
-}
-
 func searchWindows(req WindowRequest, step units.Time, eval func(t0, t1 units.Time) (units.Carbon, error)) (WindowPlan, error) {
 	latest := req.Deadline - req.Duration
 	plan := WindowPlan{}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -15,6 +16,31 @@ func duckCumulative(t testing.TB) *grid.Cumulative {
 		t.Fatal(err)
 	}
 	return cum
+}
+
+// findWindowNaive is the pre-engine reference implementation: every
+// candidate window is integrated from scratch with composite quadrature.
+// It is the oracle for the differential tests and the speedup benchmark.
+func findWindowNaive(tr grid.Trace, req WindowRequest, steps int) (WindowPlan, error) {
+	if tr == nil {
+		return WindowPlan{}, fmt.Errorf("sched: nil trace")
+	}
+	step, err := req.validate()
+	if err != nil {
+		return WindowPlan{}, err
+	}
+	p := grid.ConstantPower(req.Power)
+	return searchWindows(req, step, func(t0, t1 units.Time) (units.Carbon, error) {
+		whole, err := grid.Integrate(tr, p, t1, steps)
+		if err != nil {
+			return 0, err
+		}
+		head, err := grid.Integrate(tr, p, t0, steps)
+		if err != nil {
+			return 0, err
+		}
+		return whole - head, nil
+	})
 }
 
 func TestFindWindowPrefersSolarValley(t *testing.T) {
@@ -63,7 +89,7 @@ func TestFindWindowMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := FindWindowNaive(tr, req, 256)
+		naive, err := findWindowNaive(tr, req, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +169,7 @@ func TestFindWindowValidation(t *testing.T) {
 	if _, err := FindWindow(nil, WindowRequest{Duration: 1, Power: 1, Deadline: 1}); err == nil {
 		t.Error("nil cumulative should error")
 	}
-	if _, err := FindWindowNaive(nil, WindowRequest{Duration: 1, Power: 1, Deadline: 1}, 10); err == nil {
+	if _, err := findWindowNaive(nil, WindowRequest{Duration: 1, Power: 1, Deadline: 1}, 10); err == nil {
 		t.Error("nil trace should error")
 	}
 }
@@ -161,7 +187,7 @@ func BenchmarkScheduleWindow(b *testing.B) {
 	tr := grid.CaliforniaDuck()
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := FindWindowNaive(tr, req, 256); err != nil {
+			if _, err := findWindowNaive(tr, req, 256); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -69,10 +69,6 @@ func clusterFamilies(cs api.ClusterStatus) []family {
 	}
 }
 
-// Cluster exposes the coordinator (tests and the daemon banner); nil unless
-// the daemon runs role coordinator.
-func (s *Server) Cluster() *cluster.Coordinator { return s.cluster }
-
 // ---- GET /v1/cluster ----
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) error {

@@ -161,7 +161,7 @@ func TestJobCheckpointEndpoint(t *testing.T) {
 		}
 		return json.RawMessage(`{}`), nil
 	})
-	st, err := s.Jobs().Submit("hold", json.RawMessage(`{}`))
+	st, err := s.Jobs().SubmitJob(job.Submission{Kind: "hold", Request: json.RawMessage(`{}`)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,9 +270,6 @@ func (s *Server) families() []family {
 // Handler returns the fully instrumented route tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Cache exposes the response cache.
-func (s *Server) Cache() *Cache { return s.cache }
-
 // Pool exposes the evaluation worker pool.
 func (s *Server) Pool() *Pool { return s.pool }
 

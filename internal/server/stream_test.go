@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cordoba"
+	"cordoba/internal/dse"
 )
 
 // knobBody is a small but non-trivial knob grid: 3×2×2×2 = 24 points across
@@ -36,7 +37,7 @@ func TestDSEKnobsMatchesNaiveGrid(t *testing.T) {
 		VDDScales: []float64{0.8, 1.0},
 		Nodes:     []string{"7nm", "10nm"},
 	}
-	space, err := cordoba.ExploreGridNaive(task, g, cordoba.FabTaiwan, 200)
+	space, err := dse.EvaluateGrid(task, g, cordoba.FabTaiwan, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func TestAuthEnforced(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("valid key = %d (body %s)", w.Code, w.Body)
 	}
-	ts := decodeBody[TenantStatus](t, w)
+	ts := decodeBody[api.TenantStatus](t, w)
 	if ts.Tenant.Name != "acme" || ts.Tenant.Weight != 4 || ts.Tenant.MaxQueuedJobs != 7 {
 		t.Fatalf("tenant = %+v", ts.Tenant)
 	}
@@ -106,7 +106,7 @@ func TestAuthAnonymousAdmitted(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("anonymous = %d (body %s)", w.Code, w.Body)
 	}
-	ts := decodeBody[TenantStatus](t, w)
+	ts := decodeBody[api.TenantStatus](t, w)
 	if ts.Tenant.Name != "anonymous" || ts.Tenant.MaxGridPoints != 5 {
 		t.Fatalf("tenant = %+v", ts.Tenant)
 	}
@@ -116,7 +116,7 @@ func TestAuthAnonymousAdmitted(t *testing.T) {
 // anonymous tenant — the single-tenant daemon's behavior.
 func TestTenantOpenMode(t *testing.T) {
 	s := newTestServer(t, Config{})
-	ts := decodeBody[TenantStatus](t, do(t, s, "GET", "/v1/tenant", ""))
+	ts := decodeBody[api.TenantStatus](t, do(t, s, "GET", "/v1/tenant", ""))
 	if ts.Tenant.Name != "anonymous" || ts.Tenant.Weight != 1 {
 		t.Fatalf("tenant = %+v", ts.Tenant)
 	}

@@ -3,36 +3,26 @@ package server
 import "cordoba/api"
 
 // The JSON wire contract lives in the public api package; the server aliases
-// every type so handlers keep their historical names while requests and
-// responses stay structurally identical to what clients import. The golden
+// the types its handlers name, so requests and responses stay structurally
+// identical to what clients import. The golden
 // tests in api/ lock the rendered format.
 type (
 	AccelSpec          = api.AccelSpec
-	YieldSpec          = api.YieldSpec
 	AccountingRequest  = api.AccountingRequest
 	AccountingResponse = api.AccountingResponse
 
 	SweepSpec     = api.SweepSpec
-	KnobRangeSpec = api.KnobRangeSpec
 	DSERequest    = api.DSERequest
 	DSEPoint      = api.DSEPoint
 	SweepEntry    = api.SweepEntry
 	DSEResponse   = api.DSEResponse
-	SurrogateSpec = api.SurrogateSpec
 	SurrogateInfo = api.SurrogateInfo
 
-	ShardSpec     = api.ShardSpec
-	ShardEnvelope = api.ShardEnvelope
 	ClusterStatus = api.ClusterStatus
 
 	ScheduleRequest  = api.ScheduleRequest
 	ScheduleWindow   = api.ScheduleWindow
 	ScheduleResponse = api.ScheduleResponse
-
-	TenantInfo   = api.TenantInfo
-	QuotaStatus  = api.QuotaStatus
-	TenantStatus = api.TenantStatus
-	JobEvent     = api.JobEvent
 
 	traceInfo      = api.TraceInfo
 	experimentInfo = api.ExperimentInfo

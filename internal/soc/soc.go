@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 
-	"cordoba/internal/carbon"
 	"cordoba/internal/metrics"
 	"cordoba/internal/units"
 )
@@ -241,57 +240,6 @@ func Quest2() SoC {
 // the eq. VI.12 dot product.
 func (s SoC) Embodied(p Provision) units.Carbon {
 	return units.Carbon(p.Gold)*s.GoldEmbodied + units.Carbon(p.Silver)*s.SilverEmbodied
-}
-
-// DieArea returns the full SoC die area: uncore plus all eight core slices.
-func (s SoC) DieArea() units.Area {
-	return s.UncoreArea + units.Area(4)*s.GoldArea + units.Area(4)*s.SilverArea
-}
-
-// DeriveCoreEmbodied recomputes the per-core embodied constants through an
-// embodied-carbon backend instead of the checked-in Table V literals: the
-// whole SoC die is priced at the paper's anchor point (7 nm, coal-heavy
-// fab), and each core class is charged its area share of the silicon
-// footprint — dies are scrapped whole, so core slices inherit the die-level
-// yield derating. A nil model selects ACT.
-//
-// The consistency test in this package holds the Table V literals to the
-// ACT derivation within tolerance, so internal/soc cannot silently drift
-// from internal/carbon.
-func (s SoC) DeriveCoreEmbodied(m carbon.Model) (gold, silver units.Carbon, err error) {
-	if m == nil {
-		m = carbon.DefaultModel()
-	}
-	die := s.DieArea()
-	if die <= 0 {
-		return 0, 0, fmt.Errorf("soc: non-positive die area %v", die)
-	}
-	spec := carbon.DesignSpec{
-		Name: "xr2-soc",
-		Fab:  carbon.FabCoal,
-		Dies: []carbon.DieSpec{{Name: "soc", Area: die, Process: carbon.Process7nm()}},
-	}
-	bd, err := m.EmbodiedDesign(spec)
-	if err != nil {
-		return 0, 0, err
-	}
-	share := func(a units.Area) units.Carbon {
-		return units.Carbon(bd.Total.Grams() * a.CM2() / die.CM2())
-	}
-	return share(s.GoldArea), share(s.SilverArea), nil
-}
-
-// WithDerivedCores returns a copy of the platform whose per-core embodied
-// constants come from the backend instead of the Table V literals — the
-// hook that lets the §VI-D provisioning study run under any carbon.Model.
-func (s SoC) WithDerivedCores(m carbon.Model) (SoC, error) {
-	gold, silver, err := s.DeriveCoreEmbodied(m)
-	if err != nil {
-		return SoC{}, err
-	}
-	s.GoldEmbodied = gold
-	s.SilverEmbodied = silver
-	return s, nil
 }
 
 // Area returns the die area of a provision (uncore plus core slices).

@@ -55,9 +55,6 @@ type Tenant struct {
 	last   time.Time
 }
 
-// IsAnonymous reports whether this is the registry's anonymous tenant.
-func (t *Tenant) IsAnonymous() bool { return t.anonymous }
-
 // OwnerName is the name jobs are recorded under: empty for the anonymous
 // tenant (preserving the single-tenant wire format), the tenant name
 // otherwise.

@@ -23,7 +23,7 @@ func TestOpenRegistry(t *testing.T) {
 	}
 	for _, key := range []string{"", "anything", "key-acme"} {
 		tn, err := r.Authenticate(key)
-		if err != nil || !tn.IsAnonymous() {
+		if err != nil || !tn.anonymous {
 			t.Fatalf("Authenticate(%q) = %v, %v; want anonymous", key, tn, err)
 		}
 		if tn.OwnerName() != "" {
@@ -58,7 +58,7 @@ func TestParseAndAuthenticate(t *testing.T) {
 		t.Fatalf("default weight = %v, want 1", zeta.Weight)
 	}
 	anon, err := r.Authenticate("")
-	if err != nil || !anon.IsAnonymous() {
+	if err != nil || !anon.anonymous {
 		t.Fatalf("anonymous auth: %v, %v", anon, err)
 	}
 	if anon.MaxQueuedJobs != 1 || anon.RatePerSec != 2 {

@@ -11,15 +11,15 @@
 // every possible CI_use(t) corresponds to some β, so designs that are not
 // optimal for any β — the ones off the lower convex envelope of
 // (E·D, C_emb·D) — can be eliminated even when CI_use(t) is unknown. The
-// package provides the β sweep, the elimination set, tCDP evaluation under
-// arbitrary CI traces (to validate the theorem empirically), and Monte-Carlo
-// analysis over opaque carbon-accounting parameters (§VI-C).
+// package provides the elimination set and tCDP evaluation under arbitrary
+// CI traces (to validate the theorem empirically). The β sweep itself
+// lives in this package's tests, as the oracle the envelope is checked
+// against.
 package uncertainty
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"cordoba/internal/dse"
 	"cordoba/internal/grid"
@@ -41,11 +41,6 @@ func (d Design) EDP() float64 { return d.Energy.Joules() * d.Delay.Seconds() }
 
 // EmbodiedDelay returns C_emb·D.
 func (d Design) EmbodiedDelay() float64 { return d.Embodied.Grams() * d.Delay.Seconds() }
-
-// Lagrangian returns eq. IV.9: C_emb·D + β·E·D.
-func (d Design) Lagrangian(beta float64) float64 {
-	return d.EmbodiedDelay() + beta*d.EDP()
-}
 
 // Power returns the design's operational power draw, E/D — assumed fixed
 // and known (the §IV-B modelling assumption).
@@ -95,61 +90,10 @@ func SurvivorsFixedTime(designs []Design) []int {
 	return pareto.Envelope(pts)
 }
 
-// Eliminated returns the complement of Survivors.
-func Eliminated(designs []Design) []int {
-	surv := map[int]bool{}
-	for _, i := range Survivors(designs) {
-		surv[i] = true
-	}
-	var out []int
-	for i := range designs {
-		if !surv[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// BetaWinner is one β sample of the Lagrange sweep.
-type BetaWinner struct {
-	Beta   float64
-	Winner int
-}
-
-// BetaSweep minimizes eq. IV.9 at each β and returns the winners.
-func BetaSweep(designs []Design, betas []float64) []BetaWinner {
-	pts := toPoints(designs)
-	out := make([]BetaWinner, len(betas))
-	for i, b := range betas {
-		out[i] = BetaWinner{Beta: b, Winner: pareto.ArgminLinear(pts, b)}
-	}
-	return out
-}
-
-// LogBetas returns k multipliers log-spaced over [lo, hi], plus β = 0.
-func LogBetas(lo, hi float64, k int) []float64 {
-	return append([]float64{0}, dse.LogSpace(lo, hi, k)...)
-}
-
-// TCDPUnderTrace evaluates a design's true tCDP (eq. IV.8) when the grid's
-// carbon intensity follows the given trace over the hardware lifetime:
-// the design runs continuously at its fixed power E/D, and embodied carbon
-// is not amortized (it is paid once). The steps parameter is retained for
-// call-site compatibility; evaluation goes through the exact
-// cumulative-trace engine.
-func TCDPUnderTrace(d Design, tr grid.Trace, life units.Time, steps int) (float64, error) {
-	if steps < 1 {
-		return 0, fmt.Errorf("uncertainty: need at least one integration step, got %d", steps)
-	}
-	cum, err := grid.NewCumulative(tr, life)
-	if err != nil {
-		return 0, err
-	}
-	return TCDPUnderCumulative(d, cum, life)
-}
-
-// TCDPUnderCumulative is TCDPUnderTrace against a prebuilt cumulative trace
-// — the form to use when scoring many designs under one grid.
+// TCDPUnderCumulative evaluates a design's true tCDP (eq. IV.8) when the
+// grid's carbon intensity follows a trace, given as its prebuilt cumulative
+// form, over the hardware lifetime: the design runs continuously at its
+// fixed power E/D, and embodied carbon is not amortized (it is paid once).
 func TCDPUnderCumulative(d Design, cum *grid.Cumulative, life units.Time) (float64, error) {
 	if d.Delay <= 0 {
 		return 0, fmt.Errorf("uncertainty: design %q has non-positive delay", d.Name)
@@ -186,79 +130,4 @@ func OptimalUnderTrace(designs []Design, tr grid.Trace, life units.Time, steps i
 		}
 	}
 	return best, nil
-}
-
-// CarbonUncertainty describes opaque carbon-accounting parameters as uniform
-// ranges: the use-phase intensity (varying grids, §IV-B) and a multiplicative
-// band on embodied carbon (covering unknown CI_fab, EPA, MPA, GPA — the
-// "lack of transparency" of §I).
-type CarbonUncertainty struct {
-	CIUseMin, CIUseMax       units.CarbonIntensity
-	EmbodiedMin, EmbodiedMax float64 // multipliers, e.g. 0.7–1.5
-}
-
-// Validate checks the ranges.
-func (u CarbonUncertainty) Validate() error {
-	if u.CIUseMin < 0 || u.CIUseMax < u.CIUseMin {
-		return fmt.Errorf("uncertainty: bad CI_use range [%v, %v]", u.CIUseMin, u.CIUseMax)
-	}
-	if u.EmbodiedMin <= 0 || u.EmbodiedMax < u.EmbodiedMin {
-		return fmt.Errorf("uncertainty: bad embodied range [%v, %v]", u.EmbodiedMin, u.EmbodiedMax)
-	}
-	return nil
-}
-
-// MCResult summarizes a Monte-Carlo run.
-type MCResult struct {
-	Trials   int
-	WinShare []float64 // fraction of trials each design was tCDP-optimal
-	MeanTCDP []float64
-	StdTCDP  []float64
-}
-
-// MonteCarlo samples the uncertain parameters `trials` times, evaluates
-// every design's tCDP after n task executions, and reports per-design win
-// shares and tCDP statistics. The same seed reproduces the same result.
-func MonteCarlo(designs []Design, u CarbonUncertainty, n float64, trials int, seed int64) (MCResult, error) {
-	if err := u.Validate(); err != nil {
-		return MCResult{}, err
-	}
-	if len(designs) == 0 || trials <= 0 {
-		return MCResult{}, fmt.Errorf("uncertainty: need designs and a positive trial count")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	res := MCResult{
-		Trials:   trials,
-		WinShare: make([]float64, len(designs)),
-		MeanTCDP: make([]float64, len(designs)),
-		StdTCDP:  make([]float64, len(designs)),
-	}
-	sums := make([]float64, len(designs))
-	sqs := make([]float64, len(designs))
-	for t := 0; t < trials; t++ {
-		ci := u.CIUseMin + units.CarbonIntensity(rng.Float64())*(u.CIUseMax-u.CIUseMin)
-		embScale := u.EmbodiedMin + rng.Float64()*(u.EmbodiedMax-u.EmbodiedMin)
-		best, bestV := -1, math.Inf(1)
-		for i, d := range designs {
-			tc := units.Carbon(embScale)*d.Embodied + ci.Of(d.Energy*units.Energy(n))
-			v := tc.Grams() * d.Delay.Seconds()
-			sums[i] += v
-			sqs[i] += v * v
-			if v < bestV {
-				best, bestV = i, v
-			}
-		}
-		res.WinShare[best] += 1
-	}
-	for i := range designs {
-		res.WinShare[i] /= float64(trials)
-		mean := sums[i] / float64(trials)
-		res.MeanTCDP[i] = mean
-		variance := sqs[i]/float64(trials) - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		res.StdTCDP[i] = math.Sqrt(variance)
-	}
-	return res, nil
 }

@@ -11,6 +11,7 @@ import (
 	"cordoba/internal/dse"
 	"cordoba/internal/grid"
 	"cordoba/internal/nn"
+	"cordoba/internal/pareto"
 	"cordoba/internal/units"
 	"cordoba/internal/workload"
 )
@@ -37,9 +38,6 @@ func TestDerivedQuantities(t *testing.T) {
 	if d.EDP() != 12 || d.EmbodiedDelay() != 10 {
 		t.Fatalf("EDP=%v EmbD=%v", d.EDP(), d.EmbodiedDelay())
 	}
-	if got := d.Lagrangian(2); got != 34 {
-		t.Fatalf("lagrangian = %v", got)
-	}
 	if d.Power() != 3 {
 		t.Fatalf("power = %v", d.Power())
 	}
@@ -57,28 +55,41 @@ func TestSurvivorsAndEliminated(t *testing.T) {
 			t.Errorf("unexpected survivor %d", i)
 		}
 	}
-	elim := Eliminated(ds)
-	if len(elim) != 1 || elim[0] != 3 {
-		t.Fatalf("eliminated = %v, want [3]", elim)
+}
+
+// betaSweep minimizes eq. IV.9, C_emb·D + β·E·D, at each β and returns the
+// winning design indices: the brute-force oracle for the envelope Survivors
+// computes.
+func betaSweep(designs []Design, betas []float64) []int {
+	pts := toPoints(designs)
+	out := make([]int, len(betas))
+	for i, b := range betas {
+		out[i] = pareto.ArgminLinear(pts, b)
 	}
+	return out
+}
+
+// logBetas returns k multipliers log-spaced over [lo, hi], plus β = 0.
+func logBetas(lo, hi float64, k int) []float64 {
+	return append([]float64{0}, dse.LogSpace(lo, hi, k)...)
 }
 
 func TestBetaSweepEndpoints(t *testing.T) {
 	ds := fourDesigns()
-	res := BetaSweep(ds, []float64{0, 1e9})
-	if ds[res[0].Winner].Name != "d0" {
-		t.Errorf("β=0 winner = %s, want d0 (min C_emb·D)", ds[res[0].Winner].Name)
+	res := betaSweep(ds, []float64{0, 1e9})
+	if ds[res[0]].Name != "d0" {
+		t.Errorf("β=0 winner = %s, want d0 (min C_emb·D)", ds[res[0]].Name)
 	}
-	if ds[res[1].Winner].Name != "d2" {
-		t.Errorf("β→∞ winner = %s, want d2 (min E·D)", ds[res[1].Winner].Name)
+	if ds[res[1]].Name != "d2" {
+		t.Errorf("β→∞ winner = %s, want d2 (min E·D)", ds[res[1]].Name)
 	}
 }
 
 func TestBetaSweepCoversSurvivors(t *testing.T) {
 	ds := fourDesigns()
 	winners := map[int]bool{}
-	for _, w := range BetaSweep(ds, LogBetas(1e-6, 1e6, 200)) {
-		winners[w.Winner] = true
+	for _, w := range betaSweep(ds, logBetas(1e-6, 1e6, 200)) {
+		winners[w] = true
 	}
 	for _, s := range Survivors(ds) {
 		if !winners[s] {
@@ -91,7 +102,7 @@ func TestBetaSweepCoversSurvivors(t *testing.T) {
 }
 
 func TestLogBetasIncludesZero(t *testing.T) {
-	bs := LogBetas(0.01, 100, 5)
+	bs := logBetas(0.01, 100, 5)
 	if bs[0] != 0 {
 		t.Fatal("first β must be 0")
 	}
@@ -100,11 +111,20 @@ func TestLogBetasIncludesZero(t *testing.T) {
 	}
 }
 
+// tcdpUnderTrace is TCDPUnderCumulative on a trace's prefix integral.
+func tcdpUnderTrace(d Design, tr grid.Trace, life units.Time) (float64, error) {
+	cum, err := grid.NewCumulative(tr, life)
+	if err != nil {
+		return 0, err
+	}
+	return TCDPUnderCumulative(d, cum, life)
+}
+
 func TestTCDPUnderConstantTraceMatchesClosedForm(t *testing.T) {
 	d := Design{Name: "d", Energy: units.Energy(10), Delay: 2, Embodied: 100}
 	// Constant CI: C_op = CI·P·life; P = 5 W.
 	life := units.Hours(10)
-	got, err := TCDPUnderTrace(d, grid.Constant{Intensity: 380}, life, 100)
+	got, err := tcdpUnderTrace(d, grid.Constant{Intensity: 380}, life)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +137,11 @@ func TestTCDPUnderConstantTraceMatchesClosedForm(t *testing.T) {
 
 func TestTCDPUnderTraceErrors(t *testing.T) {
 	bad := Design{Name: "bad", Energy: 1, Delay: 0, Embodied: 1}
-	if _, err := TCDPUnderTrace(bad, grid.Constant{Intensity: 1}, 1, 10); err == nil {
+	if _, err := tcdpUnderTrace(bad, grid.Constant{Intensity: 1}, 1); err == nil {
 		t.Error("zero delay should error")
 	}
 	d := Design{Name: "d", Energy: 1, Delay: 1, Embodied: 1}
-	if _, err := TCDPUnderTrace(d, grid.Constant{Intensity: 1}, -1, 10); err == nil {
+	if _, err := tcdpUnderTrace(d, grid.Constant{Intensity: 1}, -1); err == nil {
 		t.Error("negative lifetime should propagate")
 	}
 	if _, err := OptimalUnderTrace(nil, grid.Constant{Intensity: 1}, 1, 10); err == nil {
@@ -239,60 +259,6 @@ func configByID(t *testing.T, id string) accel.Config {
 	return accel.Config{}
 }
 
-func TestMonteCarloBasics(t *testing.T) {
-	ds := fourDesigns()
-	u := CarbonUncertainty{CIUseMin: 10, CIUseMax: 800, EmbodiedMin: 0.7, EmbodiedMax: 1.5}
-	res, err := MonteCarlo(ds, u, 1e3, 2000, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	for _, w := range res.WinShare {
-		total += w
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Fatalf("win shares sum to %v", total)
-	}
-	// The dominated design can never win.
-	if res.WinShare[3] != 0 {
-		t.Errorf("dominated design won %.2f of trials", res.WinShare[3])
-	}
-	for i := range ds {
-		if res.MeanTCDP[i] <= 0 || res.StdTCDP[i] < 0 {
-			t.Errorf("design %d: bad stats mean=%v std=%v", i, res.MeanTCDP[i], res.StdTCDP[i])
-		}
-	}
-	// Determinism: same seed, same result.
-	res2, _ := MonteCarlo(ds, u, 1e3, 2000, 42)
-	for i := range res.WinShare {
-		if res.WinShare[i] != res2.WinShare[i] {
-			t.Fatal("Monte Carlo not deterministic for fixed seed")
-		}
-	}
-}
-
-func TestMonteCarloValidation(t *testing.T) {
-	ds := fourDesigns()
-	bad := []CarbonUncertainty{
-		{CIUseMin: -1, CIUseMax: 10, EmbodiedMin: 1, EmbodiedMax: 1},
-		{CIUseMin: 10, CIUseMax: 1, EmbodiedMin: 1, EmbodiedMax: 1},
-		{CIUseMin: 0, CIUseMax: 1, EmbodiedMin: 0, EmbodiedMax: 1},
-		{CIUseMin: 0, CIUseMax: 1, EmbodiedMin: 2, EmbodiedMax: 1},
-	}
-	for i, u := range bad {
-		if _, err := MonteCarlo(ds, u, 1, 10, 1); err == nil {
-			t.Errorf("case %d should fail validation", i)
-		}
-	}
-	ok := CarbonUncertainty{CIUseMin: 1, CIUseMax: 2, EmbodiedMin: 1, EmbodiedMax: 2}
-	if _, err := MonteCarlo(nil, ok, 1, 10, 1); err == nil {
-		t.Error("empty designs should error")
-	}
-	if _, err := MonteCarlo(ds, ok, 1, 0, 1); err == nil {
-		t.Error("zero trials should error")
-	}
-}
-
 func TestFromDSE(t *testing.T) {
 	task, _ := workload.PaperTask(workload.TaskAI5)
 	space, err := evalDefault(task, accel.Grid()[:5])
@@ -308,5 +274,38 @@ func TestFromDSE(t *testing.T) {
 		if d.Name != p.Config.ID || d.Energy != p.Energy || d.Delay != p.Delay || d.Embodied != p.Embodied {
 			t.Errorf("design %d does not mirror point", i)
 		}
+	}
+}
+
+// §VI-C: Monte Carlo over opaque carbon-accounting parameters — a uniform
+// CI_use and a multiplicative band on embodied carbon (unknown CI_fab, EPA,
+// MPA, GPA). tCDP = (s·C_emb + CI·n·E)·D is s times eq. IV.9 at β = CI·n/s,
+// so every sampled winner is a survivor and the dominated design never wins.
+func TestMonteCarloBasics(t *testing.T) {
+	ds := fourDesigns()
+	surv := map[int]bool{}
+	for _, i := range Survivors(ds) {
+		surv[i] = true
+	}
+	const n = 1e3
+	rng := rand.New(rand.NewSource(42))
+	wins := make([]int, len(ds))
+	for trial := 0; trial < 2000; trial++ {
+		ci := units.CarbonIntensity(10 + rng.Float64()*790)
+		scale := units.Carbon(0.7 + rng.Float64()*0.8)
+		best, bestV := -1, math.Inf(1)
+		for i, d := range ds {
+			v := (scale*d.Embodied + ci.Of(d.Energy*n)).Grams() * d.Delay.Seconds()
+			if v < bestV {
+				best, bestV = i, v
+			}
+		}
+		if !surv[best] {
+			t.Fatalf("trial %d: winner %s is not a survivor", trial, ds[best].Name)
+		}
+		wins[best]++
+	}
+	if wins[3] != 0 {
+		t.Errorf("dominated design won %d trials", wins[3])
 	}
 }

@@ -54,9 +54,6 @@ func (t Time) Seconds() float64 { return float64(t) }
 // InHours reports t in hours.
 func (t Time) InHours() float64 { return float64(t) / SecondsPerHour }
 
-// InDays reports t in days.
-func (t Time) InDays() float64 { return float64(t) / SecondsPerDay }
-
 // InYears reports t in 365-day years.
 func (t Time) InYears() float64 { return float64(t) / SecondsPerYear }
 
@@ -150,14 +147,8 @@ func (e Energy) DividedBy(t Time) Power {
 // Carbon is a mass of emitted CO2-equivalent, in grams.
 type Carbon float64
 
-// KgCO2e constructs a Carbon from kilograms of CO2e.
-func KgCO2e(kg float64) Carbon { return Carbon(kg * 1e3) }
-
 // Grams reports c in grams of CO2e.
 func (c Carbon) Grams() float64 { return float64(c) }
-
-// InKg reports c in kilograms of CO2e.
-func (c Carbon) InKg() float64 { return float64(c) / 1e3 }
 
 // String formats the carbon mass with an automatically chosen unit.
 func (c Carbon) String() string {
@@ -202,9 +193,6 @@ func MM2(mm2 float64) Area { return Area(mm2 / 100) }
 
 // CM2 reports a in square centimetres.
 func (a Area) CM2() float64 { return float64(a) }
-
-// InMM2 reports a in square millimetres.
-func (a Area) InMM2() float64 { return float64(a) * 100 }
 
 // String formats the area.
 func (a Area) String() string {
@@ -288,9 +276,6 @@ func GBps(g float64) Bandwidth { return Bandwidth(g * 1e9) }
 
 // BytesPerSecond reports bw in bytes per second.
 func (bw Bandwidth) BytesPerSecond() float64 { return float64(bw) }
-
-// InGBps reports bw in gigabytes per second.
-func (bw Bandwidth) InGBps() float64 { return float64(bw) / 1e9 }
 
 // String formats the bandwidth.
 func (bw Bandwidth) String() string {

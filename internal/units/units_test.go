@@ -25,7 +25,6 @@ func TestTimeConversions(t *testing.T) {
 		{"days", Days(1).Seconds(), 86400},
 		{"years", Years(1).Seconds(), 31536000},
 		{"in-hours", Time(7200).InHours(), 2},
-		{"in-days", Time(172800).InDays(), 2},
 		{"in-years", Years(5).InYears(), 5},
 	}
 	for _, c := range cases {
@@ -69,9 +68,6 @@ func TestAreaConversions(t *testing.T) {
 	if got := MM2(225).CM2(); !almostEqual(got, 2.25, 1e-12) {
 		t.Fatalf("225 mm² = %v cm²", got)
 	}
-	if got := Area(2.25).InMM2(); !almostEqual(got, 225, 1e-12) {
-		t.Fatalf("2.25 cm² = %v mm²", got)
-	}
 }
 
 func TestFrequency(t *testing.T) {
@@ -100,9 +96,6 @@ func TestBandwidth(t *testing.T) {
 	bw := GBps(16)
 	if bw.BytesPerSecond() != 16e9 {
 		t.Fatalf("16 GB/s = %v B/s", bw.BytesPerSecond())
-	}
-	if bw.InGBps() != 16 {
-		t.Fatalf("round trip = %v", bw.InGBps())
 	}
 }
 

@@ -220,68 +220,3 @@ func Fold(terms []Term, costs []KernelCost, leak units.Power) Cost {
 	c.Energy += leak.Over(c.Delay)
 	return c
 }
-
-// Matrix is the explicit N_{T,K} matrix of eq. IV.2: rows are tasks, columns
-// kernels.
-type Matrix struct {
-	Tasks   []string
-	Kernels []nn.KernelID
-	N       [][]float64 // N[task][kernel]
-}
-
-// NewMatrix builds the call matrix for a set of tasks over a kernel basis.
-func NewMatrix(tasks []Task, kernels []nn.KernelID) Matrix {
-	m := Matrix{Kernels: kernels}
-	for _, t := range tasks {
-		m.Tasks = append(m.Tasks, t.Name)
-		row := make([]float64, len(kernels))
-		for j, k := range kernels {
-			row[j] = t.Calls[k]
-		}
-		m.N = append(m.N, row)
-	}
-	return m
-}
-
-// Delays computes eq. IV.2: the task-delay vector D = N·D_K.
-func (m Matrix) Delays(kernelDelays []units.Time) ([]units.Time, error) {
-	if len(kernelDelays) != len(m.Kernels) {
-		return nil, fmt.Errorf("workload: got %d kernel delays for %d kernels", len(kernelDelays), len(m.Kernels))
-	}
-	out := make([]units.Time, len(m.N))
-	for i, row := range m.N {
-		for j, n := range row {
-			out[i] += units.Time(n) * kernelDelays[j]
-		}
-	}
-	return out, nil
-}
-
-// Energies computes eq. IV.4: E = N·(P_dyn,K·D_K) + P_leak·D.
-func (m Matrix) Energies(kernelDelays []units.Time, dynPower []units.Power, leak units.Power) ([]units.Energy, error) {
-	if len(dynPower) != len(m.Kernels) {
-		return nil, fmt.Errorf("workload: got %d dynamic powers for %d kernels", len(dynPower), len(m.Kernels))
-	}
-	delays, err := m.Delays(kernelDelays)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]units.Energy, len(m.N))
-	for i, row := range m.N {
-		for j, n := range row {
-			out[i] += units.Energy(n) * dynPower[j].Over(kernelDelays[j])
-		}
-		out[i] += leak.Over(delays[i])
-	}
-	return out, nil
-}
-
-// Total sums a vector of task values weighted by 1 (the paper's 1ᵀ·D and
-// 1ᵀ·E reductions).
-func Total[T ~float64](v []T) T {
-	var sum T
-	for _, x := range v {
-		sum += x
-	}
-	return sum
-}

@@ -107,12 +107,68 @@ func TestEvaluateErrors(t *testing.T) {
 	}
 }
 
+// matrix is the explicit N_{T,K} matrix of eq. IV.2: rows are tasks, columns
+// kernels. It is the literal form of the equations that Task.Terms and Fold
+// compute, kept as their oracle.
+type matrix struct {
+	Tasks   []string
+	Kernels []nn.KernelID
+	N       [][]float64 // N[task][kernel]
+}
+
+// newMatrix builds the call matrix for a set of tasks over a kernel basis.
+func newMatrix(tasks []Task, kernels []nn.KernelID) matrix {
+	m := matrix{Kernels: kernels}
+	for _, t := range tasks {
+		m.Tasks = append(m.Tasks, t.Name)
+		row := make([]float64, len(kernels))
+		for j, k := range kernels {
+			row[j] = t.Calls[k]
+		}
+		m.N = append(m.N, row)
+	}
+	return m
+}
+
+// Delays computes eq. IV.2: the task-delay vector D = N·D_K.
+func (m matrix) Delays(kernelDelays []units.Time) ([]units.Time, error) {
+	if len(kernelDelays) != len(m.Kernels) {
+		return nil, fmt.Errorf("workload: got %d kernel delays for %d kernels", len(kernelDelays), len(m.Kernels))
+	}
+	out := make([]units.Time, len(m.N))
+	for i, row := range m.N {
+		for j, n := range row {
+			out[i] += units.Time(n) * kernelDelays[j]
+		}
+	}
+	return out, nil
+}
+
+// Energies computes eq. IV.4: E = N·(P_dyn,K·D_K) + P_leak·D.
+func (m matrix) Energies(kernelDelays []units.Time, dynPower []units.Power, leak units.Power) ([]units.Energy, error) {
+	if len(dynPower) != len(m.Kernels) {
+		return nil, fmt.Errorf("workload: got %d dynamic powers for %d kernels", len(dynPower), len(m.Kernels))
+	}
+	delays, err := m.Delays(kernelDelays)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]units.Energy, len(m.N))
+	for i, row := range m.N {
+		for j, n := range row {
+			out[i] += units.Energy(n) * dynPower[j].Over(kernelDelays[j])
+		}
+		out[i] += leak.Over(delays[i])
+	}
+	return out, nil
+}
+
 func TestMatrixDelaysEquationIV2(t *testing.T) {
 	tasks := []Task{
 		{Name: "t1", Calls: map[nn.KernelID]float64{nn.RN18: 2, nn.MN2: 1}},
 		{Name: "t2", Calls: map[nn.KernelID]float64{nn.MN2: 4}},
 	}
-	m := NewMatrix(tasks, []nn.KernelID{nn.RN18, nn.MN2})
+	m := newMatrix(tasks, []nn.KernelID{nn.RN18, nn.MN2})
 	d, err := m.Delays([]units.Time{10, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +183,7 @@ func TestMatrixDelaysEquationIV2(t *testing.T) {
 
 func TestMatrixEnergiesEquationIV4(t *testing.T) {
 	tasks := []Task{{Name: "t", Calls: map[nn.KernelID]float64{nn.RN18: 2, nn.MN2: 3}}}
-	m := NewMatrix(tasks, []nn.KernelID{nn.RN18, nn.MN2})
+	m := newMatrix(tasks, []nn.KernelID{nn.RN18, nn.MN2})
 	delays := []units.Time{4, 1}
 	powers := []units.Power{2, 5}
 	e, err := m.Energies(delays, powers, 0.5)
@@ -156,7 +212,7 @@ func TestEvaluateMatchesMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	kernels := task.Kernels()
-	m := NewMatrix([]Task{task}, kernels)
+	m := newMatrix([]Task{task}, kernels)
 	delays := make([]units.Time, len(kernels))
 	powers := make([]units.Power, len(kernels))
 	for i := range kernels {
@@ -170,15 +226,6 @@ func TestEvaluateMatchesMatrix(t *testing.T) {
 	}
 	if math.Abs(e[0].Joules()-c.Energy.Joules()) > 1e-9 {
 		t.Errorf("matrix energy %v vs evaluate %v", e[0], c.Energy)
-	}
-}
-
-func TestTotal(t *testing.T) {
-	if got := Total([]units.Time{1, 2, 3}); got != 6 {
-		t.Errorf("total = %v", got)
-	}
-	if got := Total([]units.Energy(nil)); got != 0 {
-		t.Errorf("empty total = %v", got)
 	}
 }
 
