@@ -1,11 +1,12 @@
 # CORDOBA build/test entry points. `make ci` is the full PR gate: the
-# tier-1 verify (build + all tests), go vet, and a race-detector pass over
+# tier-1 verify (build + all tests), go vet, a race-detector pass over
 # the concurrent paths (the cordobad service layer, the parallel/streaming
-# DSE engine, and the envelope accumulator it locks around).
+# DSE engine, and the envelope accumulator it locks around), and a build
+# and vet of the cordobench harness.
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race ci bench bench-server bench-check bench-cluster bench-surrogate bench-partition bench-queue bench-baseline fuzz-smoke run-daemon
+.PHONY: build test vet fmt-check race cordobench-check ci bench bench-server bench-check bench-cluster bench-surrogate bench-partition bench-queue bench-baseline fuzz-smoke run-daemon
 
 build:
 	$(GO) build ./...
@@ -24,7 +25,12 @@ fmt-check:
 race:
 	$(GO) test -race -short . ./internal/server/... ./internal/job/... ./internal/tenant/... ./internal/cluster/... ./internal/dse/... ./internal/pareto/... ./internal/grid/... ./internal/sched/... ./internal/carbon/... ./internal/accel/... ./client/... ./api/...
 
-ci: build vet fmt-check test race
+# cordobench is a nested module, so `go build ./...` skips it; building it
+# is the compile-time check on the facade signatures it calls.
+cordobench-check:
+	cd cordobench && $(GO) build -o /dev/null . && $(GO) vet .
+
+ci: build vet fmt-check test race cordobench-check
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

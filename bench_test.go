@@ -235,7 +235,7 @@ func BenchmarkStreamingDSE(b *testing.B) {
 	b.Run("streaming", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r, err := dse.EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, dse.StreamOptions{})
+			r, err := dse.EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, dse.CheckpointOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -336,7 +336,7 @@ func BenchmarkPartitionDSE(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := dse.EvaluateStream(context.Background(), task, c.grid, carbon.FabCoal, 380, dse.StreamOptions{})
+				r, err := dse.EvaluateStream(context.Background(), task, c.grid, carbon.FabCoal, 380, dse.CheckpointOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

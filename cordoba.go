@@ -265,13 +265,13 @@ func NewMemoCache(max int) *MemoCache { return dse.NewMemoCache(max) }
 // paper's anchor parameters, keeping only the ever-optimal envelope in
 // memory. Results match materializing the grid and calling EverOptimal.
 func ExploreStream(ctx context.Context, task Task, g KnobGrid, opt StreamOptions) (*StreamResult, error) {
-	return dse.EvaluateStream(ctx, task, g, carbon.FabCoal, 380, opt)
+	return dse.EvaluateStream(ctx, task, g, carbon.FabCoal, 380, dse.CheckpointOptions{StreamOptions: opt})
 }
 
 // ExploreStreamAt is ExploreStream with explicit fab and use-phase carbon
 // intensity (the grid's node axis selects the embodied process per point).
 func ExploreStreamAt(ctx context.Context, task Task, g KnobGrid, fab Fab, ci CarbonIntensity, opt StreamOptions) (*StreamResult, error) {
-	return dse.EvaluateStream(ctx, task, g, fab, ci, opt)
+	return dse.EvaluateStream(ctx, task, g, fab, ci, dse.CheckpointOptions{StreamOptions: opt})
 }
 
 // ---- checkpointed streaming exploration ----
@@ -307,7 +307,7 @@ func MergeStreamResults(results []*StreamResult) (*StreamResult, error) {
 // ExploreStreamCheckpointed is ExploreStreamAt with checkpoint/resume and
 // progress reporting — the engine behind cordobad's async job API.
 func ExploreStreamCheckpointed(ctx context.Context, task Task, g KnobGrid, fab Fab, ci CarbonIntensity, opt CheckpointOptions) (*StreamResult, error) {
-	return dse.EvaluateStreamCheckpointed(ctx, task, g, fab, ci, opt)
+	return dse.EvaluateStream(ctx, task, g, fab, ci, opt)
 }
 
 // ---- surrogate-guided Pareto search ----

@@ -279,7 +279,7 @@ func (sp *ShapeProfile) CostUnder(p *Pricing) workload.KernelCost {
 const replayBlock = 64
 
 // maxRowClocks bounds the compute-time rows a Replay caches: a kernel's row
-// holds one entry per (layer, distinct clock), so the kernel union's rows
+// holds one entry per (layer, distinct clock), so a task's kernel rows
 // cost 8 B × layers × clocks — about 680 KiB for every kernel at this
 // bound. Pricings with more distinct clocks than this compute each block's
 // compute times as they go, as Cost does.

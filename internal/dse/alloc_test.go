@@ -30,24 +30,20 @@ func evalShapeAllocs(t *testing.T, g Grid) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := []workload.Task{paperTask(t, workload.TaskXR5)}
-	se, err := newShapeEval(cg, tasks, NewMemoCache(0), carbon.FabCoal, nil)
+	se, err := newShapeEval(cg, paperTask(t, workload.TaskXR5), NewMemoCache(0), carbon.FabCoal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := newEvalScratch(se)
-	buffers := make([][]Point, len(tasks))
-	for ti := range buffers {
-		buffers[ti] = make([]Point, 0, len(cg.cells))
-	}
+	pts := make([]Point, 0, len(cg.cells))
 	for si := 0; si < cg.shapes(); si++ {
-		if err := evalShape(se, si, sc, buffers); err != nil {
+		if pts, err = evalShape(se, si, sc, pts); err != nil {
 			t.Fatal(err)
 		}
 	}
 	si := 0
 	return testing.AllocsPerRun(20, func() {
-		if err := evalShape(se, si, sc, buffers); err != nil {
+		if pts, err = evalShape(se, si, sc, pts); err != nil {
 			t.Fatal(err)
 		}
 		si = (si + 1) % cg.shapes()
@@ -128,7 +124,7 @@ func TestPriceShapeSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		se, err := newShapeEval(cg, []workload.Task{paperTask(t, workload.TaskAllKernels)}, NewMemoCache(0), carbon.FabCoal, nil)
+		se, err := newShapeEval(cg, paperTask(t, workload.TaskAllKernels), NewMemoCache(0), carbon.FabCoal, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,13 +158,13 @@ func TestSurrogateScratchSkipsBatchBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := newShapeEval(cg, []workload.Task{paperTask(t, workload.TaskXR5)}, NewMemoCache(0), carbon.FabCoal, nil)
+	se, err := newShapeEval(cg, paperTask(t, workload.TaskXR5), NewMemoCache(0), carbon.FabCoal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := newEvalScratch(se)
 	for id := int64(0); id < cg.size(); id += 7 {
-		if _, err := se.priceAt(id, 0, sc); err != nil {
+		if _, err := se.priceAt(id, sc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,7 +207,7 @@ func TestStreamingAllocsScaleWithShapesNotCells(t *testing.T) {
 	run := func(g Grid) uint64 {
 		var ms0, ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
-		if _, err := EvaluateStream(context.Background(), task, g, fab, 100, StreamOptions{Workers: 1}); err != nil {
+		if _, err := EvaluateStream(context.Background(), task, g, fab, 100, CheckpointOptions{StreamOptions: StreamOptions{Workers: 1}}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&ms1)

@@ -17,7 +17,7 @@ import (
 	"cordoba/internal/workload"
 )
 
-// AccState is a serializable snapshot of one task's accumulator: the envelope
+// AccState is a serializable snapshot of a run's accumulator: the envelope
 // state and the space-wide sufficient statistics. The surviving points are
 // stored by identity only — their envelope IDs — because the grid re-derives
 // each one exactly; restore re-prices them and refuses a snapshot whose
@@ -50,16 +50,16 @@ func (a *taskAcc) snapshot() AccState {
 	}
 }
 
-// restore replaces the accumulator's state with a snapshot of task ti of
-// the run se evaluates, whose envelope IDs the caller has checked lie on
-// the grid. The envelope's own Restore validates the geometric invariants;
-// each survivor is then re-priced from its envelope ID (shapeEval.priceAt)
-// and stamped with its grid ID as offerLocked does. A survivor whose
+// restore replaces the accumulator's state with a snapshot of the run se
+// evaluates, whose envelope IDs the caller has checked lie on the grid. The
+// envelope's own Restore validates the geometric invariants; each survivor
+// is then re-priced from its envelope ID (shapeEval.priceAt) and stamped
+// with its grid ID as offerLocked does. A survivor whose
 // re-priced E·D or C_emb·D differs bit for bit from its stored envelope
 // point fails the restore: the envelope would otherwise keep coordinates
 // no point of the grid has, and the resumed run would diverge from the
 // uninterrupted one.
-func (a *taskAcc) restore(st AccState, se *shapeEval, ti int, sc *evalScratch) error {
+func (a *taskAcc) restore(st AccState, se *shapeEval, sc *evalScratch) error {
 	if st.Total < 0 || st.PrePruned < 0 || st.PrePruned > st.Total {
 		return fmt.Errorf("dse: snapshot counters corrupt: total %d, pre-pruned %d", st.Total, st.PrePruned)
 	}
@@ -72,7 +72,7 @@ func (a *taskAcc) restore(st AccState, se *shapeEval, ti int, sc *evalScratch) e
 	}
 	payload := make(map[int64]Point, len(st.Envelope.IDs))
 	for i, id := range st.Envelope.IDs {
-		pt, err := se.priceAt(id, ti, sc)
+		pt, err := se.priceAt(id, sc)
 		if err != nil {
 			return err
 		}
@@ -113,10 +113,12 @@ type ShardRange struct {
 }
 
 // StreamCheckpoint is a resumable snapshot of a checkpointed exploration: a
-// fingerprint binding it to its inputs, the shape cursor, and one AccState
-// per task. Because the engine accumulates in shape order, a checkpoint is
-// always the exact state after shapes [FirstShape, NextShape) — resuming
-// replays the suffix and lands bit-identically on the uninterrupted result.
+// fingerprint binding it to its inputs, the shape cursor, and the
+// accumulator's AccState. Accs holds exactly one; it stays a list so that
+// checkpoints keep the wire form earlier releases wrote. Because the engine
+// accumulates in shape order, a checkpoint is always the exact state after
+// shapes [FirstShape, NextShape) — resuming replays the suffix and lands
+// bit-identically on the uninterrupted result.
 // FirstShape is zero for whole-grid runs and the shard's first shape for
 // sharded ones; a checkpoint only resumes the shard it was taken on.
 type StreamCheckpoint struct {
@@ -129,9 +131,9 @@ type StreamCheckpoint struct {
 
 // validate checks a checkpoint against the run it is asked to resume, where
 // the run covers shapes [lo, hi) of a grid with cg.shapes() shapes total.
-func (cp *StreamCheckpoint) validate(fp string, cg *compiledGrid, tasks, lo, hi int) error {
+func (cp *StreamCheckpoint) validate(fp string, cg *compiledGrid, lo, hi int) error {
 	if cp.Fingerprint != fp {
-		return fmt.Errorf("dse: checkpoint fingerprint %.12s does not match this run (%.12s): the task set, grid, fab, CI or yield model changed", cp.Fingerprint, fp)
+		return fmt.Errorf("dse: checkpoint fingerprint %.12s does not match this run (%.12s): the task, grid, fab, CI or yield model changed", cp.Fingerprint, fp)
 	}
 	if cp.Shapes != cg.shapes() {
 		return fmt.Errorf("dse: checkpoint covers %d shapes, grid has %d", cp.Shapes, cg.shapes())
@@ -142,30 +144,31 @@ func (cp *StreamCheckpoint) validate(fp string, cg *compiledGrid, tasks, lo, hi 
 	if cp.NextShape < lo || cp.NextShape > hi {
 		return fmt.Errorf("dse: checkpoint cursor %d out of range [%d, %d]", cp.NextShape, lo, hi)
 	}
-	if len(cp.Accs) != tasks {
-		return fmt.Errorf("dse: checkpoint has %d accumulators, run has %d tasks", len(cp.Accs), tasks)
+	if len(cp.Accs) != 1 {
+		return fmt.Errorf("dse: checkpoint has %d accumulators, want 1", len(cp.Accs))
 	}
 	cells := int64(len(cg.cells))
 	first := int64(lo) * cells
 	seen := int64(cp.NextShape) * cells
-	for i, a := range cp.Accs {
-		if a.Total != seen-first {
-			return fmt.Errorf("dse: checkpoint task %d counted %d points, cursor %d implies %d", i, a.Total, cp.NextShape, seen-first)
-		}
-		for _, id := range a.Envelope.IDs {
-			if id < first || id >= seen {
-				return fmt.Errorf("dse: checkpoint task %d survivor id %d outside evaluated range [%d, %d)", i, id, first, seen)
-			}
+	a := &cp.Accs[0]
+	if a.Total != seen-first {
+		return fmt.Errorf("dse: checkpoint counted %d points, cursor %d implies %d", a.Total, cp.NextShape, seen-first)
+	}
+	for _, id := range a.Envelope.IDs {
+		if id < first || id >= seen {
+			return fmt.Errorf("dse: checkpoint survivor id %d outside evaluated range [%d, %d)", id, first, seen)
 		}
 	}
 	return nil
 }
 
 // checkpointFingerprint hashes everything the exploration's outcome depends
-// on — tasks (names and call counts), the normalized grid, the fab, CI_use,
-// and the yield model — so a checkpoint can never silently resume a
-// different run. JSON marshaling sorts map keys, so the hash is stable.
-func checkpointFingerprint(tasks []workload.Task, g Grid, fab carbon.Fab, ci units.CarbonIntensity, yield carbon.YieldModel) string {
+// on — the task (name and call counts), the normalized grid, the fab,
+// CI_use, and the yield model — so a checkpoint can never silently resume a
+// different run. JSON marshaling sorts map keys, so the hash is stable. The
+// task is hashed as a one-element "tasks" list, the form earlier releases
+// wrote, so their checkpoints keep resuming.
+func checkpointFingerprint(task workload.Task, g Grid, fab carbon.Fab, ci units.CarbonIntensity, yield carbon.YieldModel) string {
 	type fabKey struct {
 		Name          string  `json:"name"`
 		CI            float64 `json:"ci"`
@@ -175,13 +178,9 @@ func checkpointFingerprint(tasks []workload.Task, g Grid, fab carbon.Fab, ci uni
 		Name  string             `json:"name"`
 		Calls map[string]float64 `json:"calls"`
 	}
-	tk := make([]taskKey, len(tasks))
-	for i, t := range tasks {
-		calls := make(map[string]float64, len(t.Calls))
-		for id, n := range t.Calls {
-			calls[string(id)] = n
-		}
-		tk[i] = taskKey{Name: t.Name, Calls: calls}
+	calls := make(map[string]float64, len(task.Calls))
+	for id, n := range task.Calls {
+		calls[string(id)] = n
 	}
 	yname := ""
 	if yield != nil {
@@ -194,7 +193,7 @@ func checkpointFingerprint(tasks []workload.Task, g Grid, fab carbon.Fab, ci uni
 		Fab   fabKey    `json:"fab"`
 		CI    float64   `json:"ci"`
 		Yield string    `json:"yield"`
-	}{tk, g, fabKey{fab.Name, float64(fab.CI), fab.DefectDensity}, float64(ci), yname})
+	}{[]taskKey{{task.Name, calls}}, g, fabKey{fab.Name, float64(fab.CI), fab.DefectDensity}, float64(ci), yname})
 	if err != nil {
 		// Every field above is a plain value; Marshal cannot fail. Guard
 		// anyway so a future field addition cannot silently alias runs.
@@ -204,9 +203,8 @@ func checkpointFingerprint(tasks []workload.Task, g Grid, fab carbon.Fab, ci uni
 	return hex.EncodeToString(sum[:])
 }
 
-// StreamProgress is a live view of a checkpointed exploration, reported
-// after every accumulated shape. Point counters follow the first task (all
-// tasks see the same stream volume).
+// StreamProgress is a live view of a streaming exploration, reported after
+// every accumulated shape.
 type StreamProgress struct {
 	ShapesDone  int   // shapes accumulated so far, including a resumed prefix (shard-local for sharded runs)
 	ShapesTotal int   // shapes in the run's range: the whole grid, or the shard
@@ -215,7 +213,8 @@ type StreamProgress struct {
 	Kept        int   // current ever-optimal survivor count
 }
 
-// CheckpointOptions extends StreamOptions with resume/checkpoint hooks.
+// CheckpointOptions extends StreamOptions with sharding, resume, checkpoint
+// and progress hooks; its zero extension runs the whole grid uninterrupted.
 type CheckpointOptions struct {
 	StreamOptions
 
@@ -242,28 +241,25 @@ type CheckpointOptions struct {
 	OnProgress func(StreamProgress)
 }
 
-// EvaluateStreamCheckpointed runs a single-task checkpointed exploration.
-// See EvaluateStreamCheckpointedTasks.
-func EvaluateStreamCheckpointed(ctx context.Context, task workload.Task, g Grid, fab carbon.Fab, ci units.CarbonIntensity, opt CheckpointOptions) (*StreamResult, error) {
-	rs, err := EvaluateStreamCheckpointedTasks(ctx, []workload.Task{task}, g, fab, ci, opt)
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}
-
-// EvaluateStreamCheckpointedTasks is the checkpointed core of the streaming
-// engine. Workers evaluate shapes in parallel exactly as before, but a
+// EvaluateStream is the v2 DSE engine: it explores a knob grid for one
+// task. It enumerates the grid lazily in shape-major order, computes each
+// (MAC arrays, SRAM) shape's kernel layer profiles once (through the shared
+// memo cache), replays them across every DVFS/node cell, and streams the
+// resulting points through dominance pruning into an incremental
+// convex-envelope accumulator. Memory stays O(survivors + workers·chunk)
+// regardless of grid size; evaluated chunks are discarded as they stream.
+//
+// The surviving ever-optimal set, elimination fraction and per-N optima are
+// identical to materializing the grid with EvaluateGrid and calling
+// EverOptimal — the property suite in prop_test.go holds the two engines
+// equal on randomized spaces. Workers evaluate shapes in parallel, but a
 // sequencer accumulates completed shapes strictly in shape-index order
 // through a reorder buffer, which makes the floating-point sums — and
 // therefore every checkpoint and the final SumEDP/SumEmbD — deterministic
 // for a given grid. A checkpoint taken after shape k and resumed later
 // replays shapes [k, shapes) and produces the same survivor set, Total,
 // SumEDP and SumEmbD as an uninterrupted run, bit for bit.
-func EvaluateStreamCheckpointedTasks(ctx context.Context, tasks []workload.Task, g Grid, fab carbon.Fab, ci units.CarbonIntensity, opt CheckpointOptions) ([]*StreamResult, error) {
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("dse: no tasks to stream")
-	}
+func EvaluateStream(ctx context.Context, task workload.Task, g Grid, fab carbon.Fab, ci units.CarbonIntensity, opt CheckpointOptions) (*StreamResult, error) {
 	if ci < 0 {
 		return nil, fmt.Errorf("dse: negative CI_use %v", ci)
 	}
@@ -281,7 +277,7 @@ func EvaluateStreamCheckpointedTasks(ctx context.Context, tasks []workload.Task,
 
 	shapes := cg.shapes()
 	cells := int64(len(cg.cells))
-	fp := checkpointFingerprint(tasks, g, fab, ci, opt.Yield)
+	fp := checkpointFingerprint(task, g, fab, ci, opt.Yield)
 
 	lo, hi := 0, shapes
 	if sh := opt.Shard; sh != nil {
@@ -291,24 +287,18 @@ func EvaluateStreamCheckpointedTasks(ctx context.Context, tasks []workload.Task,
 		lo, hi = sh.First, sh.First+sh.Count
 	}
 
-	se, err := newShapeEval(cg, tasks, memo, fab, opt.Yield)
+	se, err := newShapeEval(cg, task, memo, fab, opt.Yield)
 	if err != nil {
 		return nil, err
 	}
-	accs := make([]*taskAcc, len(tasks))
-	for i := range accs {
-		accs[i] = &taskAcc{payload: make(map[int64]Point)}
-	}
+	acc := &taskAcc{payload: make(map[int64]Point)}
 	start := lo
 	if cp := opt.Resume; cp != nil {
-		if err := cp.validate(fp, cg, len(tasks), lo, hi); err != nil {
+		if err := cp.validate(fp, cg, lo, hi); err != nil {
 			return nil, err
 		}
-		sc := newEvalScratch(se)
-		for i := range accs {
-			if err := accs[i].restore(cp.Accs[i], se, i, sc); err != nil {
-				return nil, fmt.Errorf("dse: checkpoint task %d: %w", i, err)
-			}
+		if err := acc.restore(cp.Accs[0], se, newEvalScratch(se)); err != nil {
+			return nil, fmt.Errorf("dse: checkpoint: %w", err)
 		}
 		start = cp.NextShape
 	}
@@ -340,34 +330,30 @@ func EvaluateStreamCheckpointedTasks(ctx context.Context, tasks []workload.Task,
 	// goroutine closes chunkCh once every worker has drained, so the
 	// sequencer loop below always terminates.
 	type chunk struct {
-		si      int
-		buffers [][]Point
+		si  int
+		pts []Point
 	}
 	shapeCh := make(chan int)
 	chunkCh := make(chan chunk, workers)
-	// Chunk buffer sets circulate between the workers and the sequencer:
-	// offerChunk copies everything it keeps, so a set is reusable the
-	// moment its shape is accumulated. At most maxSets exist. Without the
+	// Chunk buffers circulate between the workers and the sequencer:
+	// offerChunk copies everything it keeps, so a buffer is reusable the
+	// moment its shape is accumulated. At most maxBufs exist. Without the
 	// cap, a worker descheduled on the sequencer's next shape let the
 	// others run arbitrarily far ahead into the reorder buffer, each shape
-	// in a fresh set. A worker takes its set before its shape, so the
+	// in a fresh buffer. A worker takes its buffer before its shape, so the
 	// worker holding the next shape always has one and the cap cannot
 	// stall the run.
-	maxSets := 2*workers + 1
-	freeBufs := make(chan [][]Point, maxSets)
-	var sets atomic.Int32
-	takeBuffers := func() [][]Point {
+	maxBufs := 2*workers + 1
+	freeBufs := make(chan []Point, maxBufs)
+	var made atomic.Int32
+	takeBuffer := func() []Point {
 		select {
 		case b := <-freeBufs:
 			return b
 		default:
 		}
-		if sets.Add(1) <= int32(maxSets) {
-			buffers := make([][]Point, len(tasks))
-			for ti := range buffers {
-				buffers[ti] = make([]Point, 0, cells)
-			}
-			return buffers
+		if made.Add(1) <= int32(maxBufs) {
+			return make([]Point, 0, cells)
 		}
 		select {
 		case b := <-freeBufs:
@@ -383,10 +369,10 @@ func EvaluateStreamCheckpointedTasks(ctx context.Context, tasks []workload.Task,
 		go func() {
 			defer wg.Done()
 			sc := newEvalScratch(se)
-			var buffers [][]Point
+			var pts []Point
 			for {
-				if buffers == nil {
-					buffers = takeBuffers()
+				if pts == nil {
+					pts = takeBuffer()
 				}
 				si, ok := <-shapeCh
 				if !ok {
@@ -395,12 +381,13 @@ func EvaluateStreamCheckpointedTasks(ctx context.Context, tasks []workload.Task,
 				if ctx.Err() != nil || failed.Load() {
 					continue // drain the channel without evaluating
 				}
-				if err := evalShape(se, si, sc, buffers); err != nil {
+				filled, err := evalShape(se, si, sc, pts)
+				if err != nil {
 					fail(err)
 					continue
 				}
-				chunkCh <- chunk{si: si, buffers: buffers}
-				buffers = nil
+				chunkCh <- chunk{si: si, pts: filled}
+				pts = nil
 			}
 		}()
 	}
@@ -414,32 +401,29 @@ func EvaluateStreamCheckpointedTasks(ctx context.Context, tasks []workload.Task,
 	}()
 
 	// The sequencer: hold out-of-order chunks in a reorder buffer and offer
-	// them to the accumulators strictly by shape index. Accumulation order —
+	// them to the accumulator strictly by shape index. Accumulation order —
 	// hence floating-point summation order — no longer depends on worker
 	// scheduling, and a checkpoint is always a contiguous-prefix state.
-	pending := make(map[int][][]Point, workers)
+	pending := make(map[int][]Point, workers)
 	next := start
 	accumulated := 0
 	for c := range chunkCh {
 		if failed.Load() {
 			continue // drain so workers never block on chunkCh
 		}
-		pending[c.si] = c.buffers
+		pending[c.si] = c.pts
 		for {
-			bufs, ok := pending[next]
+			pts, ok := pending[next]
 			if !ok {
 				break
 			}
 			delete(pending, next)
-			base := int64(next) * cells
-			for ti := range tasks {
-				accs[ti].offerChunk(base, bufs[ti])
-			}
-			freeBufs <- bufs // never blocks: at most maxSets exist
+			acc.offerChunk(int64(next)*cells, pts)
+			freeBufs <- pts // never blocks: at most maxBufs exist
 			next++
 			accumulated++
 			if opt.OnProgress != nil {
-				streamed, pruned, kept := accs[0].progress()
+				streamed, pruned, kept := acc.progress()
 				opt.OnProgress(StreamProgress{
 					ShapesDone:  next - lo,
 					ShapesTotal: hi - lo,
@@ -449,10 +433,7 @@ func EvaluateStreamCheckpointedTasks(ctx context.Context, tasks []workload.Task,
 				})
 			}
 			if opt.Every > 0 && opt.OnCheckpoint != nil && next < hi && accumulated%opt.Every == 0 {
-				cp := &StreamCheckpoint{Fingerprint: fp, Shapes: shapes, FirstShape: lo, NextShape: next, Accs: make([]AccState, len(accs))}
-				for i, a := range accs {
-					cp.Accs[i] = a.snapshot()
-				}
+				cp := &StreamCheckpoint{Fingerprint: fp, Shapes: shapes, FirstShape: lo, NextShape: next, Accs: []AccState{acc.snapshot()}}
 				if err := opt.OnCheckpoint(cp); err != nil {
 					fail(fmt.Errorf("dse: checkpoint callback: %w", err))
 				}
@@ -466,9 +447,5 @@ func EvaluateStreamCheckpointedTasks(ctx context.Context, tasks []workload.Task,
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dse: streaming exploration aborted: %w", err)
 	}
-	out := make([]*StreamResult, len(tasks))
-	for i, a := range accs {
-		out[i] = a.result(tasks[i], ci)
-	}
-	return out, nil
+	return acc.result(task, ci), nil
 }

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"cordoba/internal/carbon"
-	"cordoba/internal/workload"
 )
 
 // ckptGrid is a small multi-axis grid: 12 shapes × 4 cells = 48 points,
@@ -43,24 +42,6 @@ func sameStreamResult(t *testing.T, label string, got, want *StreamResult) {
 	}
 }
 
-func TestCheckpointedMatchesStream(t *testing.T) {
-	task := paperTask(t, "All kernels")
-	g := ckptGrid()
-	plain, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, StreamOptions{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
-		StreamOptions: StreamOptions{Workers: 7},
-		Every:         2,
-		OnCheckpoint:  func(*StreamCheckpoint) error { return nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameStreamResult(t, "checkpointed vs plain", ck, plain)
-}
-
 // TestStreamDeterministicAcrossWorkers pins the property the checkpoint
 // design rests on: ordered accumulation makes the floating-point sums
 // independent of worker scheduling.
@@ -69,7 +50,7 @@ func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 	g := ckptGrid()
 	var want *StreamResult
 	for _, workers := range []int{1, 2, 5, 16} {
-		r, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, StreamOptions{Workers: workers})
+		r, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{StreamOptions: StreamOptions{Workers: workers}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +65,12 @@ func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 // TestCheckpointResumeBitIdentical is the acceptance property: resuming from
 // any intermediate checkpoint converges to the uninterrupted run's survivor
 // set, Total, SumEDP and SumEmbD exactly. Checkpoints are round-tripped
-// through JSON first, the same path the job store uses.
+// through JSON first, the same path the job store uses. Taking the
+// checkpoints leaves the run's own result unchanged too.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	task := paperTask(t, "All kernels")
 	g := ckptGrid()
-	full, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
+	full, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
 		StreamOptions: StreamOptions{Workers: 4},
 	})
 	if err != nil {
@@ -96,18 +78,22 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 
 	var cps []*StreamCheckpoint
-	if _, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
-		StreamOptions: StreamOptions{Workers: 4},
+	ck, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
+		StreamOptions: StreamOptions{Workers: 7},
 		Every:         3,
 		OnCheckpoint: func(cp *StreamCheckpoint) error {
 			cps = append(cps, cp)
 			return nil
 		},
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cps) == 0 {
-		t.Fatal("no checkpoints captured")
+	sameStreamResult(t, "run taking checkpoints", ck, full)
+	// ckptGrid has 12 shapes: a checkpoint after shapes 3, 6 and 9, none
+	// after the last.
+	if len(cps) != 3 {
+		t.Fatalf("captured %d checkpoints, want 3", len(cps))
 	}
 
 	for _, cp := range cps {
@@ -119,7 +105,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		if err := json.Unmarshal(b, &restored); err != nil {
 			t.Fatal(err)
 		}
-		resumed, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
+		resumed, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
 			StreamOptions: StreamOptions{Workers: 2},
 			Resume:        &restored,
 		})
@@ -135,7 +121,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 func TestCheckpointCancelThenResume(t *testing.T) {
 	task := paperTask(t, "All kernels")
 	g := ckptGrid()
-	full, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
+	full, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
 		StreamOptions: StreamOptions{Workers: 4},
 	})
 	if err != nil {
@@ -145,7 +131,7 @@ func TestCheckpointCancelThenResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var last *StreamCheckpoint
-	_, err = EvaluateStreamCheckpointed(ctx, task, g, carbon.FabCoal, 380, CheckpointOptions{
+	_, err = EvaluateStream(ctx, task, g, carbon.FabCoal, 380, CheckpointOptions{
 		StreamOptions: StreamOptions{Workers: 4},
 		Every:         2,
 		OnCheckpoint: func(cp *StreamCheckpoint) error {
@@ -164,7 +150,7 @@ func TestCheckpointCancelThenResume(t *testing.T) {
 		t.Fatalf("checkpoint cursor %d of %d is not intermediate", last.NextShape, last.Shapes)
 	}
 
-	resumed, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
+	resumed, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
 		StreamOptions: StreamOptions{Workers: 4},
 		Resume:        last,
 	})
@@ -178,7 +164,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	task := paperTask(t, "All kernels")
 	g := ckptGrid()
 	var cp *StreamCheckpoint
-	if _, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
+	if _, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
 		Every:        3,
 		OnCheckpoint: func(c *StreamCheckpoint) error { cp = c; return nil },
 	}); err != nil {
@@ -189,16 +175,16 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	}
 	cases := map[string]func() (*StreamResult, error){
 		"different fab": func() (*StreamResult, error) {
-			return EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabRenewable, 380, CheckpointOptions{Resume: cp})
+			return EvaluateStream(context.Background(), task, g, carbon.FabRenewable, 380, CheckpointOptions{Resume: cp})
 		},
 		"different ci": func() (*StreamResult, error) {
-			return EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 100, CheckpointOptions{Resume: cp})
+			return EvaluateStream(context.Background(), task, g, carbon.FabCoal, 100, CheckpointOptions{Resume: cp})
 		},
 		"different task": func() (*StreamResult, error) {
-			return EvaluateStreamCheckpointed(context.Background(), paperTask(t, "AI (10 kernels)"), g, carbon.FabCoal, 380, CheckpointOptions{Resume: cp})
+			return EvaluateStream(context.Background(), paperTask(t, "AI (10 kernels)"), g, carbon.FabCoal, 380, CheckpointOptions{Resume: cp})
 		},
 		"different yield": func() (*StreamResult, error) {
-			return EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
+			return EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
 				StreamOptions: StreamOptions{Yield: carbon.PoissonYield{}},
 				Resume:        cp,
 			})
@@ -213,7 +199,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	// must be rejected.
 	g2 := ckptGrid()
 	g2.MACArrays = g2.MACArrays[:2]
-	if _, err := EvaluateStreamCheckpointed(context.Background(), task, g2, carbon.FabCoal, 380, CheckpointOptions{Resume: cp}); err == nil {
+	if _, err := EvaluateStream(context.Background(), task, g2, carbon.FabCoal, 380, CheckpointOptions{Resume: cp}); err == nil {
 		t.Error("resume accepted a checkpoint from a different grid")
 	}
 }
@@ -222,20 +208,21 @@ func TestCheckpointValidateRejectsCorrupt(t *testing.T) {
 	task := paperTask(t, "All kernels")
 	g := ckptGrid()
 	var cp *StreamCheckpoint
-	if _, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
+	if _, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
 		Every:        4,
 		OnCheckpoint: func(c *StreamCheckpoint) error { cp = c; return nil },
 	}); err != nil {
 		t.Fatal(err)
 	}
 	resume := func(c StreamCheckpoint) error {
-		_, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{Resume: &c})
+		_, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{Resume: &c})
 		return err
 	}
 	corrupt := map[string]func(c *StreamCheckpoint){
 		"cursor negative":  func(c *StreamCheckpoint) { c.NextShape = -1 },
 		"cursor past end":  func(c *StreamCheckpoint) { c.NextShape = c.Shapes + 1 },
 		"acc count":        func(c *StreamCheckpoint) { c.Accs = nil },
+		"two accs":         func(c *StreamCheckpoint) { c.Accs = append(c.Accs, c.Accs[0]) },
 		"total mismatch":   func(c *StreamCheckpoint) { c.Accs[0].Total++ },
 		"offered mismatch": func(c *StreamCheckpoint) { c.Accs[0].Envelope.Offered++ },
 		"id out of prefix": func(c *StreamCheckpoint) { c.Accs[0].Envelope.IDs[0] = int64(c.Shapes) * 1000 },
@@ -280,7 +267,7 @@ func TestCheckpointValidateRejectsCorrupt(t *testing.T) {
 
 func TestCheckpointCallbackErrorAborts(t *testing.T) {
 	boom := errors.New("disk full")
-	_, err := EvaluateStreamCheckpointed(context.Background(), paperTask(t, "All kernels"), ckptGrid(), carbon.FabCoal, 380, CheckpointOptions{
+	_, err := EvaluateStream(context.Background(), paperTask(t, "All kernels"), ckptGrid(), carbon.FabCoal, 380, CheckpointOptions{
 		Every:        1,
 		OnCheckpoint: func(*StreamCheckpoint) error { return boom },
 	})
@@ -292,7 +279,7 @@ func TestCheckpointCallbackErrorAborts(t *testing.T) {
 func TestCheckpointProgress(t *testing.T) {
 	g := ckptGrid()
 	var got []StreamProgress
-	r, err := EvaluateStreamCheckpointed(context.Background(), paperTask(t, "All kernels"), g, carbon.FabCoal, 380, CheckpointOptions{
+	r, err := EvaluateStream(context.Background(), paperTask(t, "All kernels"), g, carbon.FabCoal, 380, CheckpointOptions{
 		StreamOptions: StreamOptions{Workers: 4},
 		OnProgress:    func(p StreamProgress) { got = append(got, p) },
 	})
@@ -323,62 +310,13 @@ func TestCheckpointProgress(t *testing.T) {
 	}
 }
 
-// TestCheckpointMultiTask covers the multi-accumulator path: every task
-// resumes bit-identically from every checkpoint of a shared run, each
-// round-tripped through JSON as the job store does.
-func TestCheckpointMultiTask(t *testing.T) {
-	tasks := []workload.Task{paperTask(t, "All kernels"), paperTask(t, "AI (10 kernels)")}
-	g := ckptGrid()
-	full, err := EvaluateStreamCheckpointedTasks(context.Background(), tasks, g, carbon.FabCoal, 380, CheckpointOptions{
-		StreamOptions: StreamOptions{Workers: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cps [][]byte
-	if _, err := EvaluateStreamCheckpointedTasks(context.Background(), tasks, g, carbon.FabCoal, 380, CheckpointOptions{
-		Every: 1,
-		OnCheckpoint: func(c *StreamCheckpoint) error {
-			if len(c.Accs) != len(tasks) {
-				t.Fatalf("checkpoint has %d accumulators, want %d", len(c.Accs), len(tasks))
-			}
-			b, err := json.Marshal(c)
-			cps = append(cps, b)
-			return err
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cg, err := g.compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) != cg.shapes()-1 {
-		t.Fatalf("captured %d checkpoints, want one per interior shape (%d)", len(cps), cg.shapes()-1)
-	}
-	for _, b := range cps {
-		var cp StreamCheckpoint
-		if err := json.Unmarshal(b, &cp); err != nil {
-			t.Fatal(err)
-		}
-		resumed, err := EvaluateStreamCheckpointedTasks(context.Background(), tasks, g, carbon.FabCoal, 380, CheckpointOptions{
-			StreamOptions: StreamOptions{Workers: 3},
-			Resume:        &cp,
-		})
-		if err != nil {
-			t.Fatalf("resume from shape %d: %v", cp.NextShape, err)
-		}
-		for i := range tasks {
-			sameStreamResult(t, tasks[i].Name, resumed[i], full[i])
-		}
-	}
-}
-
 // TestCheckpointLegacySurvivors resumes a checkpoint written when
 // accumulator snapshots still stored every survivor's full point
 // ("survivors"). Decoding ignores the array; the survivors are re-priced
 // from their envelope IDs like any other checkpoint's, and the resumed run
-// matches an uninterrupted one bit for bit.
+// matches an uninterrupted one bit for bit. The fixture carries the
+// fingerprint those releases computed, so the test also fails if the
+// fingerprint's hash changes.
 func TestCheckpointLegacySurvivors(t *testing.T) {
 	b, err := os.ReadFile("testdata/legacy_checkpoint.json")
 	if err != nil {
@@ -392,26 +330,23 @@ func TestCheckpointLegacySurvivors(t *testing.T) {
 	if err := json.Unmarshal(b, &legacy); err != nil {
 		t.Fatal(err)
 	}
-	if len(legacy.Accs) != 2 || len(legacy.Accs[0].Survivors) == 0 {
-		t.Fatalf("fixture is not a legacy two-task checkpoint: %d accumulators", len(legacy.Accs))
+	if len(legacy.Accs) != 1 || len(legacy.Accs[0].Survivors) == 0 {
+		t.Fatalf("fixture is not a legacy single-accumulator checkpoint: %d accumulators", len(legacy.Accs))
 	}
 	var cp StreamCheckpoint
 	if err := json.Unmarshal(b, &cp); err != nil {
 		t.Fatal(err)
 	}
-	tasks := []workload.Task{paperTask(t, "All kernels"), paperTask(t, "AI (10 kernels)")}
-	g := ckptGrid()
-	full, err := EvaluateStreamCheckpointedTasks(context.Background(), tasks, g, carbon.FabCoal, 380, CheckpointOptions{})
+	task := paperTask(t, "All kernels")
+	full, err := EvaluateStream(context.Background(), task, ckptGrid(), carbon.FabCoal, 380, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := EvaluateStreamCheckpointedTasks(context.Background(), tasks, g, carbon.FabCoal, 380, CheckpointOptions{Resume: &cp})
+	resumed, err := EvaluateStream(context.Background(), task, ckptGrid(), carbon.FabCoal, 380, CheckpointOptions{Resume: &cp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range tasks {
-		sameStreamResult(t, tasks[i].Name, resumed[i], full[i])
-	}
+	sameStreamResult(t, "legacy resume", resumed, full)
 }
 
 // BenchmarkStreamCheckpointEncode is the checkpoint-encode layer of a job:
@@ -426,7 +361,7 @@ func BenchmarkStreamCheckpointEncode(b *testing.B) {
 		b.Fatal(err)
 	}
 	var mid *StreamCheckpoint
-	if _, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
+	if _, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
 		Every: cg.shapes() / 2,
 		OnCheckpoint: func(cp *StreamCheckpoint) error {
 			mid = cp
@@ -435,12 +370,12 @@ func BenchmarkStreamCheckpointEncode(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	se, err := newShapeEval(cg, []workload.Task{task}, NewMemoCache(0), carbon.FabCoal, nil)
+	se, err := newShapeEval(cg, task, NewMemoCache(0), carbon.FabCoal, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	acc := &taskAcc{}
-	if err := acc.restore(mid.Accs[0], se, 0, newEvalScratch(se)); err != nil {
+	if err := acc.restore(mid.Accs[0], se, newEvalScratch(se)); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

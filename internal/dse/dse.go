@@ -107,7 +107,7 @@ func Evaluate(ctx context.Context, task workload.Task, configs []accel.Config, p
 	if memo == nil {
 		memo = NewMemoCache(0)
 	}
-	se, err := newShapeEval(nil, []workload.Task{task}, memo, fab, opt.Yield)
+	se, err := newShapeEval(nil, task, memo, fab, opt.Yield)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +122,7 @@ func Evaluate(ctx context.Context, task workload.Task, configs []accel.Config, p
 		if err := configs[i].Validate(); err != nil {
 			return Point{}, err
 		}
-		return se.pricePoint(&configs[i], model, modelName, p, 0, sc)
+		return se.pricePoint(&configs[i], model, modelName, p, sc)
 	})
 	if err != nil {
 		return nil, err

@@ -96,7 +96,7 @@ func TestSurrogateGolden(t *testing.T) {
 
 			var oracleFront []pareto.Point
 			if *updateGolden {
-				oracle, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, StreamOptions{Memo: memo})
+				oracle, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{StreamOptions: StreamOptions{Memo: memo}})
 				if err != nil {
 					t.Fatal(err)
 				}

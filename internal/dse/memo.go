@@ -23,7 +23,7 @@ const DefaultMemoEntries = 8192
 const memoEvictFraction = 4 // evict at least len/memoEvictFraction entries
 
 // profileSet holds at most one profile per kernel, indexed by the kernel's
-// canonical index (nn.KernelIndex).
+// canonical index (its position in nn.AllKernels).
 type profileSet [nn.NumKernels]*accel.ShapeProfile
 
 // memoSlot is one shape's cached kernel profiles; n counts the non-nil ones.
@@ -152,21 +152,8 @@ func (mc *MemoCache) insertLocked(key accel.ShapeKey, kernels []int, dst []*acce
 	mc.m[key], mc.bases[ck], mc.mems[mk] = s, base, mem
 }
 
-// Profile returns the shape profile of kernel id on configuration c,
-// computing and caching it on first use. The returned profile is shared and
-// immutable; callers replay it with ShapeProfile.Cost.
-func (mc *MemoCache) Profile(c accel.Config, id nn.KernelID) (*accel.ShapeProfile, error) {
-	k, ok := nn.KernelIndex(id)
-	if !ok {
-		return c.ShapeProfile(id) // reports the unknown kernel
-	}
-	var dst [1]*accel.ShapeProfile
-	err := mc.Profiles(c, []int{k}, dst[:])
-	return dst[0], err
-}
-
-// Profiles fills dst (parallel to kernels, each a canonical index — see
-// nn.KernelIndex) with the shape profiles of every kernel on configuration
+// Profiles fills dst (parallel to kernels, each a canonical index — a
+// position in nn.AllKernels) with the shape profiles of every kernel on configuration
 // c: the batched lookup the engine's per-shape hot path rides. A full hit
 // is one read-locked map lookup and allocates nothing. Missing profiles are
 // computed outside the lock, from cached siblings of another SRAM size or

@@ -14,11 +14,9 @@ import (
 func kernelIdx(ids ...nn.KernelID) []int {
 	out := make([]int, len(ids))
 	for i, id := range ids {
-		k, ok := nn.KernelIndex(id)
-		if !ok {
+		if out[i] = slices.Index(nn.AllKernels(), id); out[i] < 0 {
 			panic("unknown kernel " + id)
 		}
-		out[i] = k
 	}
 	return out
 }
@@ -42,10 +40,11 @@ func TestMemoPartialEviction(t *testing.T) {
 	const max = 8
 	mc := NewMemoCache(max)
 	cfgs := memoTestConfigs(max + 1)
+	rn18, dst := kernelIdx(nn.RN18), make([]*accel.ShapeProfile, 1)
 
 	for round := 0; round < 20; round++ {
 		for _, c := range cfgs {
-			if _, err := mc.Profile(c, nn.RN18); err != nil {
+			if err := mc.Profiles(c, rn18, dst); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -69,8 +68,9 @@ func TestMemoEvictionCounter(t *testing.T) {
 	const max = 4
 	mc := NewMemoCache(max)
 	cfgs := memoTestConfigs(max + 1)
+	rn18, dst := kernelIdx(nn.RN18), make([]*accel.ShapeProfile, 1)
 	for _, c := range cfgs {
-		if _, err := mc.Profile(c, nn.RN18); err != nil {
+		if err := mc.Profiles(c, rn18, dst); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestMemoEvictionCounter(t *testing.T) {
 }
 
 // TestMemoProfilesBatchedLookup: the batched per-shape lookup returns the
-// same canonical pointers as the per-kernel path and counts hits/misses
+// same canonical pointers as one-kernel lookups and counts hits/misses
 // identically.
 func TestMemoProfilesBatchedLookup(t *testing.T) {
 	mc := NewMemoCache(0)
@@ -100,12 +100,12 @@ func TestMemoProfilesBatchedLookup(t *testing.T) {
 		if dst[i] == nil || dst[i].Kernel != id {
 			t.Fatalf("dst[%d] = %+v, want profile of %s", i, dst[i], id)
 		}
-		single, err := mc.Profile(cfg, id)
-		if err != nil {
+		var single [1]*accel.ShapeProfile
+		if err := mc.Profiles(cfg, idx[i:i+1], single[:]); err != nil {
 			t.Fatal(err)
 		}
-		if single != dst[i] {
-			t.Fatalf("Profile(%s) returned a different pointer than the batched lookup", id)
+		if single[0] != dst[i] {
+			t.Fatalf("one-kernel lookup of %s returned a different pointer than the batched lookup", id)
 		}
 	}
 

@@ -142,7 +142,7 @@ func TestStreamMatchesNaiveModelGrid(t *testing.T) {
 		}
 	}
 
-	res, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, StreamOptions{})
+	res, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +180,12 @@ func TestStreamMatchesNaiveModelGrid(t *testing.T) {
 func TestStreamYieldOption(t *testing.T) {
 	task := paperTask(t, "AI (5 kernels)")
 	g := Grid{MACArrays: []int{256}, SRAMMB: []float64{192}} // biggest die
-	base, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, StreamOptions{})
+	base, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	be, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380,
-		StreamOptions{Yield: carbon.BoseEinsteinYield{CriticalLayers: 10}})
+		CheckpointOptions{StreamOptions: StreamOptions{Yield: carbon.BoseEinsteinYield{CriticalLayers: 10}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cordoba/internal/carbon"
-	"cordoba/internal/workload"
 )
 
 // partitionGrid returns a small grid exercising every partition axis.
@@ -152,7 +151,7 @@ func TestStreamMatchesNaivePartitionGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := EvaluateStream(context.Background(), task, g, carbon.FabTaiwan, 200, StreamOptions{Workers: 4})
+	r, err := EvaluateStream(context.Background(), task, g, carbon.FabTaiwan, 200, CheckpointOptions{StreamOptions: StreamOptions{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,24 +196,24 @@ func TestStreamMatchesNaiveModelPartitionGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := EvaluateStream(context.Background(), task, g, carbon.FabTaiwan, 200, StreamOptions{Workers: 2})
+	r, err := EvaluateStream(context.Background(), task, g, carbon.FabTaiwan, 200, CheckpointOptions{StreamOptions: StreamOptions{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkStreamMatchesNaive(t, r, naive)
 
 	// Every evaluated point, not just the survivors, is bit-identical.
-	se, err := newShapeEval(cg, []workload.Task{task}, NewMemoCache(0), carbon.FabTaiwan, nil)
+	se, err := newShapeEval(cg, task, NewMemoCache(0), carbon.FabTaiwan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := newEvalScratch(se)
-	buf := make([][]Point, 1)
+	var buf []Point
 	for si := 0; si < cg.shapes(); si++ {
-		if err := evalShape(se, si, sc, buf); err != nil {
+		if buf, err = evalShape(se, si, sc, buf); err != nil {
 			t.Fatal(err)
 		}
-		for ci, got := range buf[0] {
+		for ci, got := range buf {
 			want := naive.Points[si*len(cg.cells)+ci]
 			if got.Delay != want.Delay || got.Energy != want.Energy || got.Embodied != want.Embodied ||
 				got.Area != want.Area || got.Model != want.Model {
@@ -236,7 +235,7 @@ func TestPartitionEnvelopeKeepsChipletDesigns(t *testing.T) {
 		ChipletNodes: []string{"14nm"},
 	}
 	task := paperTask(t, "AI (5 kernels)")
-	r, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, StreamOptions{Workers: 1})
+	r, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{StreamOptions: StreamOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +258,7 @@ func TestShardedPartitionGridMatchesUnsharded(t *testing.T) {
 	g := partitionGrid()
 	g.Carrier = "emib"
 	task := paperTask(t, "AI (5 kernels)")
-	want, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, StreamOptions{Workers: 2})
+	want, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{StreamOptions: StreamOptions{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +272,7 @@ func TestShardedPartitionGridMatchesUnsharded(t *testing.T) {
 				StreamOptions: StreamOptions{Workers: 2},
 				Shard:         &ShardRange{First: first, Count: n},
 			}
-			r, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, opt)
+			r, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, opt)
 			if err != nil {
 				t.Fatalf("shard [%d,%d): %v", first, first+n, err)
 			}

@@ -18,7 +18,7 @@ func runShard(t *testing.T, g Grid, first, count int, opt CheckpointOptions) *St
 	t.Helper()
 	task := paperTask(t, "All kernels")
 	opt.Shard = &ShardRange{First: first, Count: count}
-	r, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, opt)
+	r, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, opt)
 	if err != nil {
 		t.Fatalf("shard [%d,%d): %v", first, first+count, err)
 	}
@@ -63,7 +63,7 @@ func TestShardPartitionsMatchUnsharded(t *testing.T) {
 	g := ckptGrid()
 	shapes := 12 // 4 MAC arrays × 3 SRAM sizes
 	task := paperTask(t, "All kernels")
-	want, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, StreamOptions{Workers: 3})
+	want, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{StreamOptions: StreamOptions{Workers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestShardResumeBitIdentical(t *testing.T) {
 	var cp *StreamCheckpoint
 	stop := errors.New("stop after second checkpoint")
 	task := paperTask(t, "All kernels")
-	_, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
+	_, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
 		StreamOptions: StreamOptions{Workers: 2},
 		Shard:         &ShardRange{First: 3, Count: 7},
 		Every:         2,
@@ -159,7 +159,7 @@ func TestShardValidation(t *testing.T) {
 	g := ckptGrid()
 	task := paperTask(t, "All kernels")
 	for _, bad := range []ShardRange{{First: -1, Count: 2}, {First: 0, Count: 0}, {First: 10, Count: 3}, {First: 12, Count: 1}} {
-		_, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{Shard: &bad})
+		_, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{Shard: &bad})
 		if err == nil || !strings.Contains(err.Error(), "shard") {
 			t.Fatalf("shard %+v: expected range error, got %v", bad, err)
 		}
@@ -167,7 +167,7 @@ func TestShardValidation(t *testing.T) {
 
 	// Capture a checkpoint on shard [3, 10) …
 	var cp *StreamCheckpoint
-	_, err := EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
+	_, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
 		Shard: &ShardRange{First: 3, Count: 7},
 		Every: 2,
 		OnCheckpoint: func(c *StreamCheckpoint) error {
@@ -184,7 +184,7 @@ func TestShardValidation(t *testing.T) {
 		t.Fatal("no checkpoint captured")
 	}
 	// … and try to resume a different shard with it.
-	_, err = EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
+	_, err = EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
 		Shard:  &ShardRange{First: 4, Count: 6},
 		Resume: cp,
 	})
@@ -192,7 +192,7 @@ func TestShardValidation(t *testing.T) {
 		t.Fatalf("expected shard-binding error, got %v", err)
 	}
 	// A shard checkpoint must not resume a whole-grid run either.
-	_, err = EvaluateStreamCheckpointed(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{Resume: cp})
+	_, err = EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{Resume: cp})
 	if err == nil || !strings.Contains(err.Error(), "starts at shape") {
 		t.Fatalf("expected shard-binding error for whole-grid resume, got %v", err)
 	}

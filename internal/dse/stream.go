@@ -15,8 +15,8 @@ import (
 	"cordoba/internal/workload"
 )
 
-// StreamOptions tunes every engine: the list evaluator, the streaming and
-// checkpointed grid walks, and the surrogate search.
+// StreamOptions tunes every engine: the list evaluator, the streaming grid
+// walk, and the surrogate search.
 type StreamOptions struct {
 	// Workers is the evaluation fan-out; < 1 selects GOMAXPROCS.
 	Workers int
@@ -190,8 +190,8 @@ func (a *taskAcc) result(task workload.Task, ci units.CarbonIntensity) *StreamRe
 // first evalShape, so a scratch that only serves pricePoint never grows
 // them.
 type evalScratch struct {
-	kprof   []*accel.ShapeProfile // parallel to the kernel union
-	costs   []workload.KernelCost // one cell's kernel costs, parallel to the kernel union
+	kprof   []*accel.ShapeProfile // parallel to the task's kernels
+	costs   []workload.KernelCost // one cell's kernel costs, parallel to the task's kernels
 	embSeen []bool                // indexed by gridCell.embClass
 	emb     []units.Carbon
 	area    []units.Area
@@ -199,17 +199,17 @@ type evalScratch struct {
 	replay  accel.Replay
 	pricing []accel.Pricing       // indexed by cost class
 	column  []workload.KernelCost // one kernel's cost under every class
-	table   []workload.KernelCost // [cost class][kernel union slot]
+	table   []workload.KernelCost // [cost class][kernel slot]
 
 	// energy holds table's dynamic energies per SRAM size of the grid
-	// ([SRAM][cost class][kernel union slot]); energySet marks the sizes
+	// ([SRAM][cost class][kernel slot]); energySet marks the sizes
 	// filled. Both stay nil on grids whose table passes maxEnergyTable.
 	energy    []units.Energy
 	energySet []bool
 }
 
 // maxEnergyTable bounds evalScratch.energy, in bytes: SRAM sizes × cost
-// classes × union kernels × 8 B per evaluation worker. It admits the
+// classes × task kernels × 8 B per evaluation worker. It admits the
 // 105k-point reference grid (30 SRAM sizes × 70 classes × 15 kernels,
 // 252 KB) and every grid of cordobench's interactive workload (at most
 // 36 KB); a larger grid, such as the 2²⁰-point cluster grid (3.9 MB), keeps
@@ -230,97 +230,58 @@ func newEvalScratch(se *shapeEval) *evalScratch {
 	return sc
 }
 
-// kernelUnion returns the kernels referenced by any task, in the canonical
+// taskKernels returns the kernels task calls, in the canonical
 // nn.AllKernels order, and their canonical indices.
-func kernelUnion(tasks []workload.Task) (ids []nn.KernelID, idx []int) {
+func taskKernels(task workload.Task) (ids []nn.KernelID, idx []int) {
 	for i, id := range nn.AllKernels() {
-		for _, t := range tasks {
-			if _, ok := t.Calls[id]; ok {
-				ids, idx = append(ids, id), append(idx, i)
-				break
-			}
+		if _, ok := task.Calls[id]; ok {
+			ids, idx = append(ids, id), append(idx, i)
 		}
 	}
 	return ids, idx
 }
 
-// EvaluateStream explores a knob grid for one task with the streaming
-// engine: lazy enumeration, memoized kernel evaluation, incremental
-// envelope. See EvaluateStreamTasks.
-func EvaluateStream(ctx context.Context, task workload.Task, g Grid, fab carbon.Fab, ci units.CarbonIntensity, opt StreamOptions) (*StreamResult, error) {
-	rs, err := EvaluateStreamTasks(ctx, []workload.Task{task}, g, fab, ci, opt)
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}
-
-// EvaluateStreamTasks is the v2 DSE engine. It enumerates the grid lazily
-// in shape-major order, computes each (MAC arrays, SRAM) shape's kernel
-// layer profiles once (through the shared memo cache), replays them across
-// every DVFS/node cell and every task, and streams the resulting points
-// through per-task dominance pruning into incremental convex-envelope
-// accumulators. Memory stays O(survivors + workers·chunk) regardless of
-// grid size; evaluated chunks are discarded as they stream.
-//
-// The surviving ever-optimal sets, elimination fractions and per-N optima
-// are identical to materializing the grid with EvaluateGrid and calling
-// EverOptimal — the property suite in prop_test.go holds the two engines
-// equal on randomized spaces. Accumulation happens in shape-index order
-// regardless of worker scheduling (see EvaluateStreamCheckpointedTasks), so
-// SumEDP and SumEmbD are deterministic for a given grid.
-func EvaluateStreamTasks(ctx context.Context, tasks []workload.Task, g Grid, fab carbon.Fab, ci units.CarbonIntensity, opt StreamOptions) ([]*StreamResult, error) {
-	return EvaluateStreamCheckpointedTasks(ctx, tasks, g, fab, ci, CheckpointOptions{StreamOptions: opt})
-}
-
 // shapeEval is one run's read-only evaluation context, shared by its
-// workers: the grid (nil for a configuration list), the kernel union with
-// its canonical indices (the memo's slot positions), and each task's call
-// counts resolved once against the union (workload.Task.Terms).
+// workers: the grid (nil for a configuration list), the task's kernels with
+// their canonical indices (the memo's slot positions), and the task's call
+// counts resolved once against them (workload.Task.Terms).
 type shapeEval struct {
 	cg      *compiledGrid
 	kernels []nn.KernelID
-	kidx    []int             // canonical index of each kernel of the union
-	terms   [][]workload.Term // per task
+	kidx    []int // canonical index of each kernel
+	terms   []workload.Term
 	memo    *MemoCache
 	fab     carbon.Fab
 	yield   carbon.YieldModel
 }
 
-func newShapeEval(cg *compiledGrid, tasks []workload.Task, memo *MemoCache, fab carbon.Fab, yield carbon.YieldModel) (*shapeEval, error) {
-	se := &shapeEval{cg: cg, terms: make([][]workload.Term, len(tasks)), memo: memo, fab: fab, yield: yield}
-	se.kernels, se.kidx = kernelUnion(tasks)
-	for ti, task := range tasks {
-		terms, err := task.Terms(se.kernels)
-		if err != nil {
-			return nil, err
-		}
-		se.terms[ti] = terms
+func newShapeEval(cg *compiledGrid, task workload.Task, memo *MemoCache, fab carbon.Fab, yield carbon.YieldModel) (*shapeEval, error) {
+	kernels, kidx := taskKernels(task)
+	terms, err := task.Terms(kernels)
+	if err != nil {
+		return nil, err
 	}
-	return se, nil
+	return &shapeEval{cg: cg, kernels: kernels, kidx: kidx, terms: terms, memo: memo, fab: fab, yield: yield}, nil
 }
 
-// evalShape evaluates every cell of shape si for every task: priceShape
-// fills the [cost class][kernel] table, whose row for the cell's class
-// workload.Fold reads per cell and task. buffers holds one slice per task,
-// reset and filled in cell order — every value is bit-identical to the
-// direct path (the property suite holds them equal). Cells are enumerated
-// without IDs (gridPointID strings are stamped on envelope acceptance), and
-// embodied carbon and area are computed once per (shape, embodied-class)
-// instead of once per cell; with pre-sized buffers the loop allocates
-// nothing in steady state.
-func evalShape(se *shapeEval, si int, sc *evalScratch, buffers [][]Point) error {
+// evalShape evaluates every cell of shape si: priceShape fills the
+// [cost class][kernel] table, whose row for the cell's class workload.Fold
+// reads per cell. pts is reset, filled in cell order and returned — every
+// value is bit-identical to the direct path (the property suite holds them
+// equal). Cells are enumerated without IDs (gridPointID strings are stamped
+// on envelope acceptance), and embodied carbon and area are computed once
+// per (shape, embodied-class) instead of once per cell; with a pre-sized
+// pts the loop allocates nothing in steady state.
+func evalShape(se *shapeEval, si int, sc *evalScratch, pts []Point) ([]Point, error) {
 	cg := se.cg
 	shape := cg.shapeConfig(si)
 	if err := se.priceShape(si, sc); err != nil {
-		return err
+		return nil, err
 	}
 	for i := range sc.embSeen {
 		sc.embSeen[i] = false
 	}
-	for ti := range buffers {
-		buffers[ti] = buffers[ti][:0]
-	}
+	pts = pts[:0]
 	for ci := range cg.cells {
 		cell := &cg.cells[ci]
 		cfg := shape
@@ -328,7 +289,7 @@ func evalShape(se *shapeEval, si int, sc *evalScratch, buffers [][]Point) error 
 		if !sc.embSeen[cell.embClass] {
 			emb, err := cfg.EmbodiedWith(cell.model, se.yield, cell.process, se.fab)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			sc.emb[cell.embClass] = emb
 			sc.area[cell.embClass] = cfg.TotalArea()
@@ -336,20 +297,17 @@ func evalShape(se *shapeEval, si int, sc *evalScratch, buffers [][]Point) error 
 		}
 		emb, area := sc.emb[cell.embClass], sc.area[cell.embClass]
 		leak := cfg.LeakagePower()
-		costs := sc.table[cell.costClass*len(se.kernels):][:len(se.kernels)]
-		for ti, terms := range se.terms {
-			cost := workload.Fold(terms, costs, leak)
-			buffers[ti] = append(buffers[ti], Point{
-				Config:   cfg,
-				Delay:    cost.Delay,
-				Energy:   cost.Energy,
-				Embodied: emb,
-				Area:     area,
-				Model:    cell.modelName,
-			})
-		}
+		cost := workload.Fold(se.terms, sc.table[cell.costClass*len(se.kernels):][:len(se.kernels)], leak)
+		pts = append(pts, Point{
+			Config:   cfg,
+			Delay:    cost.Delay,
+			Energy:   cost.Energy,
+			Embodied: emb,
+			Area:     area,
+			Model:    cell.modelName,
+		})
 	}
-	return nil
+	return pts, nil
 }
 
 // priceShape fills sc.table with every kernel's cost under every cost class
@@ -418,7 +376,7 @@ func (se *shapeEval) priceShape(si int, sc *evalScratch) error {
 	return nil
 }
 
-// pricePoint prices one configuration for task ti of the run. The
+// pricePoint prices one configuration for the run's task. The
 // configuration's kernel profiles come from the memo (computed on first
 // use) and are replayed under its pricing, resolved once, one kernel at a
 // time (accel.ShapeProfile.CostUnder, the one-cell case of priceShape's
@@ -428,7 +386,7 @@ func (se *shapeEval) priceShape(si int, sc *evalScratch) error {
 // evalShape's cell. The list evaluator, the surrogate search and
 // checkpoint restores price here. The caller must have validated cfg: a
 // memo hit skips the validation a miss performs.
-func (se *shapeEval) pricePoint(cfg *accel.Config, model carbon.Model, modelName string, proc carbon.Process, ti int, sc *evalScratch) (Point, error) {
+func (se *shapeEval) pricePoint(cfg *accel.Config, model carbon.Model, modelName string, proc carbon.Process, sc *evalScratch) (Point, error) {
 	if err := se.memo.Profiles(*cfg, se.kidx, sc.kprof); err != nil {
 		return Point{}, err
 	}
@@ -436,12 +394,11 @@ func (se *shapeEval) pricePoint(cfg *accel.Config, model carbon.Model, modelName
 	if err != nil {
 		return Point{}, err
 	}
-	terms := se.terms[ti]
 	pr := cfg.Pricing()
-	for _, tm := range terms {
+	for _, tm := range se.terms {
 		sc.costs[tm.Slot] = sc.kprof[tm.Slot].CostUnder(&pr)
 	}
-	cost := workload.Fold(terms, sc.costs, cfg.LeakagePower())
+	cost := workload.Fold(se.terms, sc.costs, cfg.LeakagePower())
 	return Point{
 		Config:   *cfg,
 		Delay:    cost.Delay,
@@ -452,14 +409,14 @@ func (se *shapeEval) pricePoint(cfg *accel.Config, model carbon.Model, modelName
 	}, nil
 }
 
-// priceAt prices grid point id for task ti, anonymously (pricePoint over
+// priceAt prices grid point id, anonymously (pricePoint over
 // compiledGrid.anonAt): the surrogate search evaluates its candidates here
 // and a checkpoint restore re-derives its survivors, so both are
 // bit-identical to the exhaustive walk's twin. Grid cells are valid by
 // construction (compile).
-func (se *shapeEval) priceAt(id int64, ti int, sc *evalScratch) (Point, error) {
+func (se *shapeEval) priceAt(id int64, sc *evalScratch) (Point, error) {
 	cfg, cell := se.cg.anonAt(id)
-	return se.pricePoint(&cfg, cell.model, cell.modelName, cell.process, ti, sc)
+	return se.pricePoint(&cfg, cell.model, cell.modelName, cell.process, sc)
 }
 
 // newWorkerScratch returns one evalScratch per evaluation worker: workers of

@@ -204,7 +204,7 @@ func TestStreamMatchesNaiveFig8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := EvaluateStream(context.Background(), task, fig8Grid(), carbon.FabCoal, 380, StreamOptions{Workers: 1})
+	r, err := EvaluateStream(context.Background(), task, fig8Grid(), carbon.FabCoal, 380, CheckpointOptions{StreamOptions: StreamOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestStreamMatchesNaiveKnobGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := EvaluateStream(context.Background(), task, g, carbon.FabTaiwan, 200, StreamOptions{Workers: 1})
+	r, err := EvaluateStream(context.Background(), task, g, carbon.FabTaiwan, 200, CheckpointOptions{StreamOptions: StreamOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +251,11 @@ func TestStreamParallelMatchesSerial(t *testing.T) {
 		Nodes:     []string{"7nm", "5nm"},
 	}
 	task := paperTask(t, "AI (5 kernels)")
-	serial, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, StreamOptions{Workers: 1})
+	serial, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{StreamOptions: StreamOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, StreamOptions{Workers: 8})
+	parallel, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{StreamOptions: StreamOptions{Workers: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,59 +271,49 @@ func TestStreamParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestStreamMultiTaskSharesEvaluation(t *testing.T) {
+// TestStreamSharesMemoAcrossTasks: a run computes each of its task's
+// kernel profiles once per shape, and a later run over the same memo —
+// the same task or another that calls the same kernels — reuses every one
+// and prices bit-identically to a run on a private memo.
+func TestStreamSharesMemoAcrossTasks(t *testing.T) {
 	g := Grid{MACArrays: []int{1, 4, 16}, SRAMMB: []float64{1, 8}}
-	tasks := []workload.Task{paperTask(t, "XR (5 kernels)"), paperTask(t, "AI (5 kernels)")}
+	xr, ai, all := paperTask(t, "XR (5 kernels)"), paperTask(t, "AI (5 kernels)"), paperTask(t, "All kernels")
 	memo := NewMemoCache(0)
-	rs, err := EvaluateStreamTasks(context.Background(), tasks, g, carbon.FabCoal, 380, StreamOptions{Workers: 1, Memo: memo})
+	opt := CheckpointOptions{StreamOptions: StreamOptions{Workers: 1, Memo: memo}}
+	for _, task := range []workload.Task{xr, ai} {
+		if _, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The two tasks call disjoint kernels: 10 kernels over 6 shapes.
+	if hits, misses := memo.Stats(); hits != 0 || misses != 60 || memo.Len() != 60 {
+		t.Fatalf("after two tasks: %d hits, %d misses, %d profiles; want 0, 60, 60", hits, misses, memo.Len())
+	}
+	shared, err := EvaluateStream(context.Background(), all, g, carbon.FabCoal, 380, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 2 {
-		t.Fatalf("got %d results for 2 tasks", len(rs))
+	fresh := 6 * (len(all.Calls) - 10)
+	if hits, misses := memo.Stats(); hits != 60 || misses != int64(60+fresh) {
+		t.Fatalf("third task over the shared memo: %d hits, %d misses; want 60, %d", hits, misses, 60+fresh)
 	}
-	for ti, task := range tasks {
-		solo, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, StreamOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs[ti].Kept() != solo.Kept() {
-			t.Fatalf("task %q: multi-task kept %d, solo kept %d", task.Name, rs[ti].Kept(), solo.Kept())
-		}
-		for i := range solo.Space.Points {
-			a, b := rs[ti].Space.Points[i], solo.Space.Points[i]
-			if a.Config.ID != b.Config.ID || a.Delay != b.Delay || a.Energy != b.Energy {
-				t.Fatalf("task %q survivor %d differs between multi and solo runs", task.Name, i)
-			}
-		}
-	}
-	// One profile per (kernel, shape): the union of both tasks is 10
-	// kernels over 6 shapes.
-	if got := memo.Len(); got != 60 {
-		t.Errorf("memo holds %d profiles, want 60 (10 kernels × 6 shapes)", got)
-	}
-	hits, misses := memo.Stats()
-	if misses != 60 {
-		t.Errorf("memo misses = %d, want exactly one per (kernel, shape)", misses)
-	}
-	if hits != 0 {
-		// Single worker computes each shape's profiles once; a second run
-		// over the same memo must hit every time.
-		t.Errorf("unexpected memo hits on first run: %d", hits)
-	}
-	if _, err := EvaluateStreamTasks(context.Background(), tasks, g, carbon.FabCoal, 380, StreamOptions{Workers: 1, Memo: memo}); err != nil {
+	solo, err := EvaluateStream(context.Background(), all, g, carbon.FabCoal, 380, CheckpointOptions{StreamOptions: StreamOptions{Workers: 1}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	hits2, misses2 := memo.Stats()
-	if misses2 != misses || hits2 != 60 {
-		t.Errorf("second run over shared memo: hits %d misses %d, want 60 hits, %d misses", hits2, misses2, misses)
+	sameStreamResult(t, "shared memo vs private memo", shared, solo)
+	if _, err := EvaluateStream(context.Background(), xr, g, carbon.FabCoal, 380, opt); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := memo.Stats(); hits != 90 || misses != int64(60+fresh) {
+		t.Fatalf("repeat run over the shared memo: %d hits, %d misses; want 90, %d", hits, misses, 60+fresh)
 	}
 }
 
 func TestStreamContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := EvaluateStream(ctx, paperTask(t, "All kernels"), fig8Grid(), carbon.FabCoal, 380, StreamOptions{Workers: 2})
+	_, err := EvaluateStream(ctx, paperTask(t, "All kernels"), fig8Grid(), carbon.FabCoal, 380, CheckpointOptions{StreamOptions: StreamOptions{Workers: 2}})
 	if err == nil {
 		t.Fatal("cancelled context did not abort the stream")
 	}
@@ -331,14 +321,11 @@ func TestStreamContextCancel(t *testing.T) {
 
 func TestStreamInputValidation(t *testing.T) {
 	task := paperTask(t, "All kernels")
-	if _, err := EvaluateStream(context.Background(), task, Grid{}, carbon.FabCoal, 380, StreamOptions{}); err == nil {
+	if _, err := EvaluateStream(context.Background(), task, Grid{}, carbon.FabCoal, 380, CheckpointOptions{}); err == nil {
 		t.Error("empty grid accepted")
 	}
-	if _, err := EvaluateStream(context.Background(), task, fig8Grid(), carbon.FabCoal, -1, StreamOptions{}); err == nil {
+	if _, err := EvaluateStream(context.Background(), task, fig8Grid(), carbon.FabCoal, -1, CheckpointOptions{}); err == nil {
 		t.Error("negative CI accepted")
-	}
-	if _, err := EvaluateStreamTasks(context.Background(), nil, fig8Grid(), carbon.FabCoal, 380, StreamOptions{}); err == nil {
-		t.Error("no tasks accepted")
 	}
 }
 
@@ -410,7 +397,7 @@ func TestEnergyReuseAcrossMACCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			se, err := newShapeEval(cg, []workload.Task{task}, NewMemoCache(0), carbon.FabTaiwan, nil)
+			se, err := newShapeEval(cg, task, NewMemoCache(0), carbon.FabTaiwan, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -424,12 +411,12 @@ func TestEnergyReuseAcrossMACCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc := newEvalScratch(se)
-			buf := make([][]Point, 1)
+			var buf []Point
 			for si := 0; si < cg.shapes(); si++ {
-				if err := evalShape(se, si, sc, buf); err != nil {
+				if buf, err = evalShape(se, si, sc, buf); err != nil {
 					t.Fatal(err)
 				}
-				for ci, got := range buf[0] {
+				for ci, got := range buf {
 					want := naive.Points[si*len(cg.cells)+ci]
 					if got.Delay != want.Delay || got.Energy != want.Energy || got.Embodied != want.Embodied ||
 						got.Area != want.Area || got.Model != want.Model {
@@ -440,7 +427,7 @@ func TestEnergyReuseAcrossMACCounts(t *testing.T) {
 			if (sc.energy != nil) != c.table {
 				t.Fatalf("energy table in use: %v, want %v", sc.energy != nil, c.table)
 			}
-			r, err := EvaluateStream(context.Background(), task, g, carbon.FabTaiwan, 200, StreamOptions{Workers: 2})
+			r, err := EvaluateStream(context.Background(), task, g, carbon.FabTaiwan, 200, CheckpointOptions{StreamOptions: StreamOptions{Workers: 2}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -461,9 +448,10 @@ func TestMemoCacheBoundAndConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var dst [1]*accel.ShapeProfile
 			for i := 0; i < 50; i++ {
 				c := configs[i%len(configs)]
-				if _, err := memo.Profile(c, nn.AllKernels()[i%3]); err != nil {
+				if err := memo.Profiles(c, []int{i % 3}, dst[:]); err != nil {
 					t.Error(err)
 					return
 				}

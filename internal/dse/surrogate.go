@@ -247,7 +247,7 @@ func surrogateFingerprint(task workload.Task, g Grid, fab carbon.Fab, ci units.C
 		Budget      int64  `json:"budget"`
 		Population  int    `json:"population"`
 		Generations int    `json:"generations"`
-	}{checkpointFingerprint([]workload.Task{task}, g, fab, ci, yield), seed, budget, population, generations})
+	}{checkpointFingerprint(task, g, fab, ci, yield), seed, budget, population, generations})
 	if err != nil {
 		panic(fmt.Sprintf("dse: surrogate fingerprint marshal: %v", err))
 	}
@@ -789,7 +789,7 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 	if memo == nil {
 		memo = NewMemoCache(0)
 	}
-	se, err := newShapeEval(cg, []workload.Task{task}, memo, fab, opt.Yield)
+	se, err := newShapeEval(cg, task, memo, fab, opt.Yield)
 	if err != nil {
 		return nil, err
 	}
@@ -811,7 +811,7 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 		scratch.pts = resize(scratch.pts, len(ids))
 		pts := scratch.pts
 		if err := evalBatch(ctx, workers, pts, func(i int, sc *evalScratch) (Point, error) {
-			return se.priceAt(ids[i], 0, sc)
+			return se.priceAt(ids[i], sc)
 		}); err != nil {
 			return err
 		}
@@ -847,7 +847,7 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 		if err := repriceMembers(ctx, se, workers, cp.Population, scratch.pts); err != nil {
 			return nil, err
 		}
-		if err := acc.restore(cp.Acc, se, 0, workers[0]); err != nil {
+		if err := acc.restore(cp.Acc, se, workers[0]); err != nil {
 			return nil, fmt.Errorf("dse: surrogate checkpoint: %w", err)
 		}
 		for _, id := range cp.Evaluated {
@@ -952,7 +952,7 @@ func EvaluateSurrogate(ctx context.Context, task workload.Task, g Grid, fab carb
 // into a different run than the uninterrupted one.
 func repriceMembers(ctx context.Context, se *shapeEval, workers []*evalScratch, pop []SurrogateIndiv, pts []Point) error {
 	if err := evalBatch(ctx, workers, pts, func(i int, sc *evalScratch) (Point, error) {
-		return se.priceAt(pop[i].ID, 0, sc)
+		return se.priceAt(pop[i].ID, sc)
 	}); err != nil {
 		return err
 	}

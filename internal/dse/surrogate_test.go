@@ -340,7 +340,7 @@ func TestSurrogateCheckpointValidation(t *testing.T) {
 func TestSurrogateExhaustiveDegradation(t *testing.T) {
 	task := paperTask(t, "All kernels")
 	g := fig8Grid() // 121 points
-	oracle, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, StreamOptions{Workers: 4})
+	oracle, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{StreamOptions: StreamOptions{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestSurrogateConcurrentWithExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseOracle, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, StreamOptions{Workers: 2})
+	baseOracle, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{StreamOptions: StreamOptions{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestSurrogateConcurrentWithExhaustive(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		oracle, oracleErr = EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, StreamOptions{Workers: 2, Memo: memo})
+		oracle, oracleErr = EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{StreamOptions: StreamOptions{Workers: 2, Memo: memo}})
 	}()
 	wg.Wait()
 	if surrErr != nil || oracleErr != nil {
@@ -434,7 +434,7 @@ func TestSurrogateOracleEquivalence105k(t *testing.T) {
 	g := refGrid105k()
 	memo := NewMemoCache(0)
 
-	oracle, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, StreamOptions{Memo: memo})
+	oracle, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{StreamOptions: StreamOptions{Memo: memo}})
 	if err != nil {
 		t.Fatal(err)
 	}

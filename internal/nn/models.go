@@ -44,16 +44,6 @@ func AllKernels() []KernelID {
 	return out
 }
 
-// KernelIndex returns id's index in the canonical AllKernels order.
-func KernelIndex(id KernelID) (int, bool) {
-	for i, k := range allKernels {
-		if k == id {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // KernelAt returns the kernel at canonical index i.
 func KernelAt(i int) KernelID { return allKernels[i] }
 

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"cordoba"
 	"cordoba/api"
+	"cordoba/internal/accel"
 	"cordoba/internal/job"
 	"cordoba/internal/nn"
 )
@@ -52,8 +54,10 @@ func pinnedExposition(t *testing.T, coordinator bool) string {
 	// eviction, then a hit on the shape inserted last.
 	memo := cordoba.NewMemoCache(2)
 	grid := cordoba.Grid()
+	rn18 := slices.Index(nn.AllKernels(), nn.RN18)
+	var dst [1]*accel.ShapeProfile
 	for _, c := range []cordoba.AcceleratorConfig{grid[0], grid[len(grid)/2], grid[len(grid)-1], grid[len(grid)-1]} {
-		if _, err := memo.Profile(c, nn.RN18); err != nil {
+		if err := memo.Profiles(c, []int{rn18}, dst[:]); err != nil {
 			t.Fatal(err)
 		}
 	}
