@@ -42,6 +42,29 @@ func sameStreamResult(t *testing.T, label string, got, want *StreamResult) {
 	}
 }
 
+// TestCheckpointedMatchesStream checks that taking checkpoints is invisible
+// in the result: a run that snapshots after every other shape returns the
+// same result as a run that takes none.
+func TestCheckpointedMatchesStream(t *testing.T) {
+	task := paperTask(t, "All kernels")
+	g := ckptGrid()
+	plain, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
+		StreamOptions: StreamOptions{Workers: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := EvaluateStream(context.Background(), task, g, carbon.FabCoal, 380, CheckpointOptions{
+		StreamOptions: StreamOptions{Workers: 7},
+		Every:         2,
+		OnCheckpoint:  func(*StreamCheckpoint) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameStreamResult(t, "checkpointed vs plain", ck, plain)
+}
+
 // TestStreamDeterministicAcrossWorkers pins the property the checkpoint
 // design rests on: ordered accumulation makes the floating-point sums
 // independent of worker scheduling.
